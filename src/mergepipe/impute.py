@@ -6,6 +6,15 @@ sqrt(D/d) for d of D coordinates observed.  Categorical columns do not
 enter the distance; their missing cells take the majority label among the
 same numeric-space neighbours.
 
+The search runs over fixed-size blocks of query rows: each block's distance
+rows come from ``kernels.masked_sqdist``, ``np.argpartition`` picks the k
+smallest per row, and those k are ordered by (distance, reference index).
+The result is exactly ``np.argsort(d2, kind="stable")[:, :k]``: a row with
+another distance equal to its k-th value outside the picked k (ties,
+including ``+inf`` for references sharing no observed coordinate) is
+stable-sorted whole instead.  Peak memory is O(block x n_ref), not
+O(n_query x n_ref).
+
 The model is immutable after fit and imputation is pure per row, so rows
 may be processed in parallel without changing the result.
 """
@@ -65,22 +74,48 @@ def fit_imputer(train, schema: DatasetSchema, k: int = 5) -> ImputerModel:
     )
 
 
+# query rows per distance block; equal to the kernel's own row block, so
+# each block's distances are computed exactly as in one whole-matrix call
+SEARCH_BLOCK = 512
+
+
+def top_k(d2: np.ndarray, k: int) -> np.ndarray:
+    """First k columns of ``np.argsort(d2, axis=1, kind="stable")``."""
+    if k >= d2.shape[1]:
+        return np.argsort(d2, axis=1, kind="stable")[:, :k]
+    picked = np.argpartition(d2, k - 1, axis=1)[:, :k]
+    dist = np.take_along_axis(d2, picked, axis=1)
+    # sort the picked k by (distance, index); lexsort keys run last-major
+    order = np.lexsort((picked, dist), axis=1)
+    picked = np.take_along_axis(picked, order, axis=1)
+    kth = np.take_along_axis(dist, order[:, -1:], axis=1)
+    # the picked set is the stable one unless a value equal to the k-th lies
+    # outside it (a NaN k-th value counts nothing and also lands here)
+    tied = np.count_nonzero(d2 <= kth, axis=1) != k
+    for row in np.flatnonzero(tied):
+        picked[row] = np.argsort(d2[row], kind="stable")[:k]
+    return picked
+
+
 def _neighbour_indices(model: ImputerModel, query_num: np.ndarray, rows) -> np.ndarray:
     """k nearest reference indices per query row, ties broken by row index."""
-    qm = np.isfinite(query_num)
     rm = np.isfinite(model.reference_numeric)
-    qv = np.where(qm, query_num, 0.0)
     rv = np.where(rm, model.reference_numeric, 0.0)
     inv_scale = 1.0 / model.numeric_scale
-    d2 = kernels.masked_sqdist(qv, qm, rv, rm, inv_scale, query_num.shape[1])
-    no_overlap = ~np.isfinite(d2).any(axis=1)
-    if no_overlap.any():
-        bad = rows[int(np.flatnonzero(no_overlap)[0])]
-        raise NoComparableRow(
-            f"deal {bad.deal_id} shares no observed numeric coordinate with any reference"
-        )
-    order = np.argsort(d2, axis=1, kind="stable")
-    return order[:, : model.k]
+    out = np.empty((query_num.shape[0], min(model.k, rv.shape[0])), dtype=np.int64)
+    for start in range(0, query_num.shape[0], SEARCH_BLOCK):
+        block = query_num[start : start + SEARCH_BLOCK]
+        qm = np.isfinite(block)
+        qv = np.where(qm, block, 0.0)
+        d2 = kernels.masked_sqdist(qv, qm, rv, rm, inv_scale, query_num.shape[1])
+        no_overlap = ~np.isfinite(d2).any(axis=1)
+        if no_overlap.any():
+            bad = rows[start + int(np.flatnonzero(no_overlap)[0])]
+            raise NoComparableRow(
+                f"deal {bad.deal_id} shares no observed numeric coordinate with any reference"
+            )
+        out[start : start + block.shape[0]] = top_k(d2, model.k)
+    return out
 
 
 def impute(model: ImputerModel, deals) -> list:

@@ -10,7 +10,6 @@ for comparison.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -196,9 +195,3 @@ def curve_to_csv(points, path, header=("x", "y")) -> None:
         fh.write(",".join(header) + "\n")
         for x, y in points:
             fh.write(f"{x!r},{y!r}\n")
-
-
-def report_to_json_file(report: EvalReport, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(report.to_json(), fh, indent=2)
-        fh.write("\n")

@@ -153,12 +153,16 @@ class NetworkParams:
     layout: tuple  # ((name, offset, shape), ...)
     init_seed: int
 
+    def __post_init__(self):
+        # name -> (slice, shape), resolved once instead of on every view call
+        self._views = {
+            name: (slice(offset, offset + int(np.prod(shape))), shape)
+            for name, offset, shape in self.layout
+        }
+
     def view(self, name: str) -> np.ndarray:
-        for entry, offset, shape in self.layout:
-            if entry == name:
-                size = int(np.prod(shape))
-                return self.values[offset : offset + size].reshape(shape)
-        raise KeyError(name)
+        span, shape = self._views[name]
+        return self.values[span].reshape(shape)
 
     def copy(self) -> "NetworkParams":
         return NetworkParams(self.values.copy(), self.layout, self.init_seed)

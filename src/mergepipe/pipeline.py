@@ -147,6 +147,8 @@ class FittedPipeline:
     valid_report: EvalReport
     feature_width: int
     class_weights: dict | None = None
+    # training rows as imputed at fit time; in-sample reports reuse them
+    train_imputed: list | None = field(default=None, repr=False, compare=False)
 
     def _model(self):
         cfg = self.config
@@ -172,7 +174,10 @@ class FittedPipeline:
 
     def features(self, deals):
         """Imputed + reduced model inputs for raw deal records."""
-        deals_imputed = impute(self.imputer, deals)
+        return self.features_from_imputed(impute(self.imputer, deals))
+
+    def features_from_imputed(self, deals_imputed):
+        """Reduced model inputs for deal records that are already imputed."""
         tabular = self.tabular_features(deals_imputed)
         if self.config.framework == "f1":
             return (tabular,)
@@ -183,14 +188,20 @@ class FittedPipeline:
         return (tabular, sequences)
 
     def scores(self, deals) -> np.ndarray:
-        inputs = self.features(deals)
-        model = self._model()
-        q, _ = model.forward_batch(self.params, inputs)
+        return self._scores_from_imputed(impute(self.imputer, deals))
+
+    def _scores_from_imputed(self, deals_imputed) -> np.ndarray:
+        q, _ = self._model().forward_batch(self.params, self.features_from_imputed(deals_imputed))
         return q
 
     def evaluate_on(self, deals) -> EvalReport:
+        return self._evaluate_from_imputed(impute(self.imputer, deals))
+
+    def _evaluate_from_imputed(self, deals_imputed) -> EvalReport:
         return evaluate(
-            labels_vector(deals), self.scores(deals), threshold=self.config.train.threshold
+            labels_vector(deals_imputed),
+            self._scores_from_imputed(deals_imputed),
+            threshold=self.config.train.threshold,
         )
 
     def to_json(self) -> dict:
@@ -276,6 +287,7 @@ def fit_pipeline(train_deals, schema: DatasetSchema, config: FrameworkConfig) ->
         trace=[],
         valid_report=None,
         feature_width=0,
+        train_imputed=train_imputed,
     )
 
     tabular = partial.tabular_features(train_imputed)
@@ -319,7 +331,7 @@ def fit_pipeline(train_deals, schema: DatasetSchema, config: FrameworkConfig) ->
 
 def _run(train_deals, test_deals, schema, config):
     fitted = fit_pipeline(train_deals, schema, config)
-    in_sample = fitted.evaluate_on(train_deals)
+    in_sample = fitted._evaluate_from_imputed(fitted.train_imputed)
     out_of_sample = fitted.evaluate_on(test_deals)
     return fitted, in_sample, out_of_sample
 
@@ -375,7 +387,7 @@ def fit_logit(
     # weighted fit shares the pipeline code path except for sample weights,
     # so fit transforms once, then retrain with weights
     fitted = fit_pipeline(train_deals, schema, config)
-    train_imputed = impute(fitted.imputer, train_deals)
+    train_imputed = fitted.train_imputed
     features = fitted.tabular_features(train_imputed)
     y = labels_vector(train_imputed)
     fit_idx, valid_idx = _validation_split(train_imputed, config.validation_fraction)
@@ -395,7 +407,7 @@ def fit_logit(
     valid_q, _ = model.forward_batch(params, (features[valid_idx],))
     fitted.valid_report = evaluate(y[valid_idx], valid_q, threshold=config.train.threshold)
     fitted.class_weights = cw
-    in_rep = fitted.evaluate_on(train_deals)
+    in_rep = fitted._evaluate_from_imputed(train_imputed)
     out_rep = fitted.evaluate_on(test_deals)
     return fitted, in_rep, out_rep
 

@@ -1,11 +1,12 @@
 import datetime as dt
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from mergepipe.dataset import DatasetSchema, DealRecord, GeneratorConfig, generate_synthetic
 from mergepipe.errors import NoComparableRow, TooFewRows
-from mergepipe.impute import fit_imputer, impute
+from mergepipe.impute import SEARCH_BLOCK, fit_imputer, impute, top_k
 
 
 def schema_two_numeric():
@@ -87,6 +88,59 @@ def test_no_comparable_row():
     model = fit_imputer(refs, schema, k=2)
     with pytest.raises(NoComparableRow):
         impute(model, [make("q", (None, 1.0))])
+    # the first bad deal in input order is named, past the first search block
+    queries = [make(f"q{i}", (float(i % 7), None)) for i in range(SEARCH_BLOCK + 100)]
+    for i in (SEARCH_BLOCK + 20, SEARCH_BLOCK + 60):
+        queries[i] = make(f"bad{i}", (None, 1.0))
+    with pytest.raises(NoComparableRow, match=f"deal bad{SEARCH_BLOCK + 20} "):
+        impute(model, queries)
+
+
+class TestExactTopK:
+    def test_matches_stable_argsort_with_ties_and_inf(self):
+        rng = np.random.default_rng(5)
+        for _ in range(60):
+            n_rows, n_ref = rng.integers(1, 40), rng.integers(1, 30)
+            # small integers make ties at the k-th value common
+            d2 = rng.integers(0, 4, size=(n_rows, n_ref)).astype(np.float64)
+            d2[rng.random(d2.shape) < 0.2] = np.inf
+            for k in range(1, n_ref + 1):
+                expected = np.argsort(d2, axis=1, kind="stable")[:, :k]
+                assert np.array_equal(top_k(d2, k), expected)
+
+    def test_equidistant_references_take_lower_index(self):
+        schema = schema_two_numeric()
+        # r4, r5 and r6 tie for the second slot and r4 must win it; in this
+        # order an unguarded argpartition picks r6
+        refs = [
+            make("r0", (2.1, 50.0)),
+            *(make(f"r{i}", (9.0, 1000.0)) for i in range(1, 4)),
+            make("r4", (1.0, 10.0)),
+            make("r5", (1.0, 30.0)),
+            make("r6", (1.0, 70.0)),
+        ]
+        model = fit_imputer(refs, schema, k=2)
+        [out] = impute(model, [make("q", (2.0, None))])
+        assert out.numeric == (2.0, (50.0 + 10.0) / 2)
+
+
+def test_search_peak_memory_is_per_block():
+    # a whole-matrix search holds n_query x n_ref distances plus their sort
+    # order; the blocked one holds a few SEARCH_BLOCK x n_ref temporaries
+    n_ref, n_query = 2000, 16 * SEARCH_BLOCK
+    schema = schema_two_numeric()
+    rng = np.random.default_rng(9)
+    refs = [make(f"r{i}", tuple(row)) for i, row in enumerate(rng.normal(size=(n_ref, 2)).tolist())]
+    queries = [make(f"q{i}", (x, None)) for i, x in enumerate(rng.normal(size=n_query).tolist())]
+    model = fit_imputer(refs, schema, k=5)
+    tracemalloc.start()
+    try:
+        impute(model, queries)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    full_matrix = 8 * n_query * n_ref
+    assert peak < full_matrix / 2
 
 
 def masked_universe(seed, n=120, missing=0.25):

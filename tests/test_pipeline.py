@@ -9,7 +9,9 @@ from mergepipe.dataset import (
     generate_synthetic,
     temporal_split,
 )
+from mergepipe import pipeline
 from mergepipe.errors import BadConfig, MissingSentiment
+from mergepipe.impute import impute
 from mergepipe.neural import LayerSpec, LossKind, NetworkSpec, TrainConfig
 from mergepipe.pipeline import (
     FrameworkConfig,
@@ -241,6 +243,49 @@ class TestLogit:
         _, _, plain = fit_logit(train, test, schema, use_class_weights=False, config=config)
         _, _, weighted = fit_logit(train, test, schema, use_class_weights=True, config=config)
         assert weighted.recall >= plain.recall
+
+
+class TestInSampleReuse:
+    """In-sample reports come from the fit-time imputation, not a second one."""
+
+    TO_JSON_KEYS = {
+        "format_version", "config", "schema", "imputer", "pca", "mca",
+        "kept_onehot_cols", "autoencoder", "params", "feature_width",
+    }
+
+    @staticmethod
+    def assert_same_report(reused, fresh):
+        for f in dataclasses.fields(fresh):
+            assert getattr(reused, f.name) == getattr(fresh, f.name), f.name
+
+    @staticmethod
+    def count_impute_rows(monkeypatch):
+        rows = []
+
+        def counted(model, deals):
+            rows.append(len(deals))
+            return impute(model, deals)
+
+        monkeypatch.setattr(pipeline, "impute", counted)
+        return rows
+
+    def test_f1_preset(self, monkeypatch):
+        train, test, schema = universe(seed=14, n=400)
+        config = preset("f1/smote-nn-f1", seed=1, pca_dims=6, mca_dims=4, train=fast_train(epochs=5))
+        rows = self.count_impute_rows(monkeypatch)
+        fitted, in_rep, _ = run_framework1(train, test, schema, config)
+        assert rows == [len(train), len(test)]
+        self.assert_same_report(in_rep, fitted.evaluate_on(train))
+        assert set(fitted.to_json()) == self.TO_JSON_KEYS
+
+    def test_weighted_logit(self, monkeypatch):
+        train, test, schema = universe(seed=15, n=400)
+        config = logit_config(seed=2, train=fast_train(epochs=10, lr=0.02), pca_dims=6, mca_dims=4)
+        rows = self.count_impute_rows(monkeypatch)
+        fitted, in_rep, _ = fit_logit(train, test, schema, use_class_weights=True, config=config)
+        assert rows == [len(train), len(test)]
+        self.assert_same_report(in_rep, fitted.evaluate_on(train))
+        assert set(fitted.to_json()) == self.TO_JSON_KEYS
 
 
 class TestLeakage:
