@@ -1,4 +1,4 @@
-"""Benchmark the two hot kernels: numba build vs pure-numpy fallback.
+"""Benchmark the two hot kernels: numpy masked distance; numba vs numpy LSTM.
 
 Run: python benchmarks/bench_kernels.py [--refs 3000] [--seq 121] [--repeat 5]
 The numpy column is what you get with MERGEPIPE_NUMBA=0.
@@ -31,16 +31,8 @@ def bench_masked_sqdist(n_refs, n_cols, repeat):
     qm = rng.random(qv.shape) > 0.2
     inv_scale = 1.0 / (0.5 + rng.random(n_cols))
 
-    rows = []
     t_np = timeit(lambda: kernels.masked_sqdist_numpy(qv, qm, rv, rm, inv_scale, n_cols), repeat)
-    rows.append(("numpy (gram trick)", t_np))
-    if kernels.masked_sqdist_numba is not None:
-        kernels.masked_sqdist_numba(qv[:4], qm[:4], rv[:4], rm[:4], inv_scale, n_cols)  # compile
-        t_nb = timeit(
-            lambda: kernels.masked_sqdist_numba(qv, qm, rv, rm, inv_scale, n_cols), repeat
-        )
-        rows.append(("numba (loops)", t_nb))
-    return rows
+    return [("numpy (gram trick)", t_np)]
 
 
 def bench_lstm(seq_len, batch, hidden, repeat):

@@ -2,15 +2,14 @@
 
 Two inner loops dominate pipeline runtime: masked pairwise distances for
 neighbour imputation, and LSTM forward/backward sweeps over 121-step
-sequences.  Both carry a numba ``@njit`` build and a pure-numpy build, and
-both stay importable (``*_numba`` / ``*_numpy``) for parity tests and
-``benchmarks/bench_kernels.py``.
-
-Measured on desk-scale shapes: the numba LSTM sweep wins ~2.5x at the
-small batches training uses and roughly ties at batch 64, so it is the
-default when available; the masked-distance loop loses to the BLAS-backed
-gram-trick formulation at every realistic shape, so numpy is the default
-there regardless.  Set ``MERGEPIPE_NUMBA=0`` to force pure numpy
+sequences.  The masked distance has one build, the BLAS-backed gram-trick
+formulation in numpy: a compiled loop lost to it at every realistic shape.
+``_masked_sqdist_loops`` stays as the plain-loop reference the tests
+compare it against.  The LSTM sweep carries a numba ``@njit`` build and a
+pure-numpy build, both importable (``*_numba`` / ``*_numpy``) for parity
+tests and ``benchmarks/bench_kernels.py``; the numba build wins ~2.5x at
+the small batches training uses and roughly ties at batch 64, so it is the
+default when available.  Set ``MERGEPIPE_NUMBA=0`` to force pure numpy
 everywhere (the guaranteed fallback path).
 """
 
@@ -182,11 +181,9 @@ lstm_forward_numpy = _lstm_forward_impl
 lstm_backward_numpy = _lstm_backward_impl
 
 if NUMBA_AVAILABLE:
-    masked_sqdist_numba = _njit(cache=True)(_masked_sqdist_loops)
     lstm_forward_numba = _njit(cache=True)(_lstm_forward_impl)
     lstm_backward_numba = _njit(cache=True)(_lstm_backward_impl)
 else:
-    masked_sqdist_numba = None
     lstm_forward_numba = None
     lstm_backward_numba = None
 

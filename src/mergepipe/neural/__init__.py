@@ -7,7 +7,6 @@ from .network import (
     NetworkSpec,
     SeqNet,
     TrainConfig,
-    build_model,
     forward,
     lstm_step,
     train,
@@ -32,7 +31,6 @@ __all__ = [
     "TrainConfig",
     "autoencoder_encode",
     "autoencoder_fit",
-    "build_model",
     "forward",
     "loss_eval",
     "loss_grad",

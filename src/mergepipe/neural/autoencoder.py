@@ -14,9 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .. import kernels
-from ..errors import BadConfig, NonFiniteLoss, ShapeMismatch
-from .network import AdamState, NetworkParams, TrainConfig, _init_dense, _init_lstm, _LayoutBuilder
+from ..errors import BadConfig, ShapeMismatch
+from .network import NetworkParams, TrainConfig, _Layout, _lstm_backward, _lstm_forward, train
 
 
 @dataclass(frozen=True)
@@ -52,36 +51,20 @@ class AutoencoderSpec:
 class SequenceAutoencoder:
     def __init__(self, spec: AutoencoderSpec):
         self.spec = spec
+        self._sigmoid = spec.activation == "sigmoid"
         h = spec.hidden_width
         k = spec.embedding_dim
-        builder = _LayoutBuilder()
-        builder.add("enc.wx", (1, 4 * h))
-        builder.add("enc.wh", (h, 4 * h))
-        builder.add("enc.b", (4 * h,))
-        builder.add("embed.w", (h, k))
-        builder.add("embed.b", (k,))
-        builder.add("dec_h0.w", (k, h))
-        builder.add("dec_h0.b", (h,))
-        builder.add("dec_c0.w", (k, h))
-        builder.add("dec_c0.b", (h,))
-        builder.add("dec.wx", (1, 4 * h))
-        builder.add("dec.wh", (h, 4 * h))
-        builder.add("dec.b", (4 * h,))
-        builder.add("out.w", (h, 1))
-        builder.add("out.b", (1,))
-        self._builder = builder
+        self._layout = _Layout((
+            ("enc", "lstm", 1, h, None),
+            ("embed", "dense", h, k, "none"),
+            ("dec_h0", "dense", k, h, "none"),
+            ("dec_c0", "dense", k, h, "none"),
+            ("dec", "lstm", 1, h, None),
+            ("out", "dense", h, 1, "none"),
+        ))
 
     def init_params(self, rng) -> NetworkParams:
-        params = self._builder.allocate(self.spec.seed)
-        h = self.spec.hidden_width
-        k = self.spec.embedding_dim
-        _init_lstm(params, rng, "enc", 1, h)
-        _init_dense(params, rng, "embed", h, k, "none")
-        _init_dense(params, rng, "dec_h0", k, h, "none")
-        _init_dense(params, rng, "dec_c0", k, h, "none")
-        _init_lstm(params, rng, "dec", 1, h)
-        _init_dense(params, rng, "out", h, 1, "none")
-        return params
+        return self._layout.init(rng, self.spec.seed)
 
     def _check(self, sequences) -> np.ndarray:
         x = np.asarray(sequences, dtype=np.float64)
@@ -91,47 +74,36 @@ class SequenceAutoencoder:
             )
         return x
 
-    def encode(self, params, sequences) -> np.ndarray:
-        x = self._check(sequences)
+    def _encode(self, params, x):
         xs = np.ascontiguousarray(x.T[:, :, None])
         h0 = np.zeros((x.shape[0], self.spec.hidden_width))
-        sig = self.spec.activation == "sigmoid"
-        hs, _, _ = kernels.lstm_forward(
-            xs, params.view("enc.wx"), params.view("enc.wh"), params.view("enc.b"),
-            h0, h0.copy(), sig,
-        )
-        return hs[-1] @ params.view("embed.w") + params.view("embed.b")
+        enc = _lstm_forward(params, "enc", xs, h0, h0.copy(), self._sigmoid)
+        return xs, enc, enc[0][-1] @ params.view("embed.w") + params.view("embed.b")
+
+    def encode(self, params, sequences) -> np.ndarray:
+        return self._encode(params, self._check(sequences))[2]
 
     def forward(self, params, sequences):
         x = self._check(sequences)
         n, seq_len = x.shape
-        h = self.spec.hidden_width
-        sig = self.spec.activation == "sigmoid"
-        xs = np.ascontiguousarray(x.T[:, :, None])
-        h0 = np.zeros((n, h))
-        enc_hs, enc_cs, enc_zs = kernels.lstm_forward(
-            xs, params.view("enc.wx"), params.view("enc.wh"), params.view("enc.b"),
-            h0, h0.copy(), sig,
-        )
-        z_embed = enc_hs[-1] @ params.view("embed.w") + params.view("embed.b")
+        xs, enc, z_embed = self._encode(params, x)
         dec_h0 = z_embed @ params.view("dec_h0.w") + params.view("dec_h0.b")
         dec_c0 = z_embed @ params.view("dec_c0.w") + params.view("dec_c0.b")
         zeros_in = np.zeros((seq_len, n, 1))
-        dec_hs, dec_cs, dec_zs = kernels.lstm_forward(
-            zeros_in, params.view("dec.wx"), params.view("dec.wh"), params.view("dec.b"),
-            dec_h0, dec_c0, sig,
-        )
+        dec = _lstm_forward(params, "dec", zeros_in, dec_h0, dec_c0, self._sigmoid)
         # readout per step: (T, n, H) @ (H, 1) -> (n, T)
-        recon = (dec_hs[1:] @ params.view("out.w"))[:, :, 0].T + params.view("out.b")[0]
-        cache = (x, xs, enc_hs, enc_cs, enc_zs, z_embed, dec_hs, dec_cs, dec_zs, zeros_in)
-        return recon, cache
+        recon = (dec[0][1:] @ params.view("out.w"))[:, :, 0].T + params.view("out.b")[0]
+        return recon, (x, xs, enc, z_embed, dec, zeros_in)
 
-    def loss_and_grad(self, params, sequences):
-        """Mean Euclidean reconstruction distance and its parameter gradient."""
+    def loss_and_grad(self, params, sequences, target=None, weights=None):
+        """Mean Euclidean distance between the reconstruction and target
+        (default: the sequences themselves) and its parameter gradient."""
+        if weights is not None:
+            raise BadConfig("the autoencoder takes no sample weights")
         recon, cache = self.forward(params, sequences)
         x = cache[0]
         n = x.shape[0]
-        resid = recon - x
+        resid = recon - (x if target is None else target)
         norms = np.sqrt(np.sum(resid * resid, axis=1))
         value = float(np.mean(norms))
         safe = np.maximum(norms, 1e-12)
@@ -140,26 +112,17 @@ class SequenceAutoencoder:
         return value, grads
 
     def backward(self, params, cache, drecon) -> NetworkParams:
-        x, xs, enc_hs, enc_cs, enc_zs, z_embed, dec_hs, dec_cs, dec_zs, zeros_in = cache
+        x, xs, enc, z_embed, dec, zeros_in = cache
         n, seq_len = x.shape
-        h = self.spec.hidden_width
-        sig = self.spec.activation == "sigmoid"
-        grads = self._builder.allocate(self.spec.seed)
+        grads = self._layout.zeros(self.spec.seed)
 
         # per-step readout, vectorized over t
         out_w = params.view("out.w")
         dy = drecon.T[:, :, None]  # (T, n, 1)
-        grads.view("out.w")[:] += (dec_hs[1:] * dy).sum(axis=(0, 1))[:, None]
+        grads.view("out.w")[:] += (dec[0][1:] * dy).sum(axis=(0, 1))[:, None]
         grads.view("out.b")[:] += drecon.sum()
         dh_all = dy * out_w[None, None, :, 0]
-
-        dwx, dwh, db, _, dh0, dc0 = kernels.lstm_backward(
-            zeros_in, params.view("dec.wx"), params.view("dec.wh"),
-            dec_hs, dec_cs, dec_zs, dh_all, sig,
-        )
-        grads.view("dec.wx")[:] += dwx
-        grads.view("dec.wh")[:] += dwh
-        grads.view("dec.b")[:] += db
+        dh0, dc0 = _lstm_backward(params, grads, "dec", zeros_in, dec, dh_all, self._sigmoid)
 
         dz_embed = dh0 @ params.view("dec_h0.w").T + dc0 @ params.view("dec_c0.w").T
         grads.view("dec_h0.w")[:] += z_embed.T @ dh0
@@ -167,18 +130,11 @@ class SequenceAutoencoder:
         grads.view("dec_c0.w")[:] += z_embed.T @ dc0
         grads.view("dec_c0.b")[:] += dc0.sum(axis=0)
 
-        grads.view("embed.w")[:] += enc_hs[-1].T @ dz_embed
+        grads.view("embed.w")[:] += enc[0][-1].T @ dz_embed
         grads.view("embed.b")[:] += dz_embed.sum(axis=0)
-        denc_h = dz_embed @ params.view("embed.w").T
-        dh_enc = np.zeros((seq_len, n, h))
-        dh_enc[-1] = denc_h
-        dwx, dwh, db, _, _, _ = kernels.lstm_backward(
-            xs, params.view("enc.wx"), params.view("enc.wh"),
-            enc_hs, enc_cs, enc_zs, dh_enc, sig,
-        )
-        grads.view("enc.wx")[:] += dwx
-        grads.view("enc.wh")[:] += dwh
-        grads.view("enc.b")[:] += db
+        dh_enc = np.zeros((seq_len, n, self.spec.hidden_width))
+        dh_enc[-1] = dz_embed @ params.view("embed.w").T
+        _lstm_backward(params, grads, "enc", xs, enc, dh_enc, self._sigmoid)
         return grads
 
 
@@ -210,24 +166,8 @@ def autoencoder_fit(
     """Train the autoencoder on the given sequences; deterministic per seed."""
     model = SequenceAutoencoder(spec)
     x = model._check(sequences)
-    n = x.shape[0]
-    rng = np.random.default_rng(spec.seed)
-    params = model.init_params(rng)
-    adam = AdamState.like(params.values)
-    trace = []
-    for epoch in range(config.epochs):
-        perm = rng.permutation(n)
-        epoch_loss = 0.0
-        for start in range(0, n, config.batch_size):
-            idx = perm[start : start + config.batch_size]
-            value, grads = model.loss_and_grad(params, x[idx])
-            if not np.isfinite(value):
-                raise NonFiniteLoss(f"reconstruction loss diverged at epoch {epoch}")
-            adam.update(params.values, grads.values, config)
-            if not np.isfinite(params.values).all():
-                raise NonFiniteLoss(f"autoencoder parameters diverged at epoch {epoch}")
-            epoch_loss += value * idx.shape[0]
-        trace.append({"epoch": epoch, "train_loss": epoch_loss / n})
+    # each sequence is its own reconstruction target
+    params, trace = train(model, (x, x), None, config)
     return FittedAutoencoder(spec=spec, params=params, trace=trace)
 
 

@@ -1,10 +1,12 @@
-"""Dense and LSTM classifier networks with hand-rolled backprop.
+"""The classifier network and the training loop, with hand-rolled backprop.
 
 Parameters live in one flat float64 vector with a per-tensor shape table,
-so the Adam update and JSON serialization are trivial.  All architectures
-end in a scalar sigmoid head; training is mini-batch Adam with an optional
-early stop on validation loss.  Given the same spec seed, training is
-bitwise reproducible.
+so the Adam update and JSON serialization are trivial.  One network class
+covers every architecture: an optional dense branch on tabular rows and an
+optional LSTM branch on sequences, merged into a dense stack and a scalar
+sigmoid head.  ``train`` is mini-batch Adam with an optional early stop on
+validation loss; the sequence autoencoder trains through it as well.  Given
+the same spec seed, training is bitwise reproducible.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import numpy as np
 
 from .. import kernels
 from ..errors import BadConfig, LengthMismatch, NonFiniteLoss, ShapeMismatch
-from .losses import LossKind, loss_eval, loss_grad
+from .losses import EPS, LossKind, loss_eval, loss_grad
 
 SELU_ALPHA = 1.67326324
 SELU_LAMBDA = 1.05070099
@@ -181,17 +183,42 @@ class NetworkParams:
         return cls(np.asarray(doc["values"], dtype=np.float64), layout, int(doc["init_seed"]))
 
 
-class _LayoutBuilder:
-    def __init__(self):
-        self.entries = []
-        self.size = 0
+class _Layout:
+    """Flat parameter layout of named dense and lstm units, in init order.
 
-    def add(self, name, shape):
-        self.entries.append((name, self.size, tuple(shape)))
-        self.size += int(np.prod(shape))
+    A unit is ``(name, kind, fan_in, width, activation)``.  A dense unit owns
+    ``name.w`` (fan_in, width) and ``name.b``; an lstm unit owns ``name.wx``,
+    ``name.wh`` and ``name.b`` over the 4*width gate axis.  Initialization
+    draws from the rng unit by unit, in this same order.
+    """
 
-    def allocate(self, seed) -> NetworkParams:
-        return NetworkParams(np.zeros(self.size), tuple(self.entries), seed)
+    def __init__(self, units):
+        self.units = tuple(units)
+        entries = []
+        size = 0
+        for name, kind, fan_in, width, _ in self.units:
+            if kind == "lstm":
+                shapes = (("wx", (fan_in, 4 * width)), ("wh", (width, 4 * width)),
+                          ("b", (4 * width,)))
+            else:
+                shapes = (("w", (fan_in, width)), ("b", (width,)))
+            for suffix, shape in shapes:
+                entries.append((f"{name}.{suffix}", size, shape))
+                size += int(np.prod(shape))
+        self.entries = tuple(entries)
+        self.size = size
+
+    def zeros(self, seed) -> NetworkParams:
+        return NetworkParams(np.zeros(self.size), self.entries, seed)
+
+    def init(self, rng, seed) -> NetworkParams:
+        params = self.zeros(seed)
+        for name, kind, fan_in, width, act in self.units:
+            if kind == "lstm":
+                _init_lstm(params, rng, name, fan_in, width)
+            else:
+                _init_dense(params, rng, name, fan_in, width, act)
+        return params
 
 
 def _init_std(act: str, fan_in: int) -> float:
@@ -215,32 +242,47 @@ def _init_lstm(params, rng, name, in_dim, hidden):
     b[hidden : 2 * hidden] = 1.0  # forget-gate bias
 
 
-# -- dense stack shared by every architecture ---------------------------------
-
-
-def _dense_stack_forward(params, prefix, layers, x):
+def _dense_stack_forward(params, stack, x):
     cache = []
     a = x
-    for idx, layer in enumerate(layers):
-        z = a @ params.view(f"{prefix}{idx}.w") + params.view(f"{prefix}{idx}.b")
+    for name, layer in stack:
+        z = a @ params.view(f"{name}.w") + params.view(f"{name}.b")
         cache.append((a, z, layer.activation))
         a = activation(layer.activation, z)
     return a, cache
 
 
-def _dense_stack_backward(params, grads, prefix, layers, cache, da):
-    for idx in range(len(layers) - 1, -1, -1):
-        a_in, z, act = cache[idx]
+def _dense_stack_backward(params, grads, stack, cache, da):
+    for (name, _), (a_in, z, act) in zip(reversed(stack), reversed(cache)):
         dz = da * activation_grad(act, z)
-        grads.view(f"{prefix}{idx}.w")[:] += a_in.T @ dz
-        grads.view(f"{prefix}{idx}.b")[:] += dz.sum(axis=0)
-        da = dz @ params.view(f"{prefix}{idx}.w").T
+        grads.view(f"{name}.w")[:] += a_in.T @ dz
+        grads.view(f"{name}.b")[:] += dz.sum(axis=0)
+        da = dz @ params.view(f"{name}.w").T
     return da
 
 
-def _head_forward(params, a):
-    from .losses import EPS
+def _lstm_forward(params, name, xs, h0, c0, sigmoid_candidate=False):
+    """Sweep lstm unit ``name`` over time-major xs; returns (hs, cs, zs)."""
+    return kernels.lstm_forward(
+        xs, params.view(f"{name}.wx"), params.view(f"{name}.wh"), params.view(f"{name}.b"),
+        h0, c0, sigmoid_candidate,
+    )
 
+
+def _lstm_backward(params, grads, name, xs, states, dh_all, sigmoid_candidate=False):
+    """Accumulate the weight gradients of lstm unit ``name``; returns (dh0, dc0)."""
+    hs, cs, zs = states
+    dwx, dwh, db, _, dh0, dc0 = kernels.lstm_backward(
+        xs, params.view(f"{name}.wx"), params.view(f"{name}.wh"), hs, cs, zs, dh_all,
+        sigmoid_candidate,
+    )
+    grads.view(f"{name}.wx")[:] += dwx
+    grads.view(f"{name}.wh")[:] += dwh
+    grads.view(f"{name}.b")[:] += db
+    return dh0, dc0
+
+
+def _head_forward(params, a):
     z = a @ params.view("head.w") + params.view("head.b")
     # clamp so outputs stay strictly inside (0, 1) even at saturation
     q = np.clip(stable_sigmoid(z[:, 0]), EPS, 1.0 - EPS)
@@ -256,133 +298,139 @@ def _head_backward(params, grads, cache, dq, q):
 
 
 class DenseNet:
-    """Feedforward stack on tabular rows."""
+    """The classifier network, with hand-rolled backprop.
 
-    def __init__(self, spec: NetworkSpec, input_dim: int):
-        if any(l.kind != "dense" for l in spec.layers):
+    An optional dense stack reads tabular rows and an optional LSTM branch
+    reads sequences; the stack's output and the LSTM's last hidden state are
+    concatenated, in that order, and pass through a second dense stack into
+    the scalar sigmoid head.  ``DenseNet(spec, input_dim)`` is the plain
+    feedforward net on ``spec.layers``; SeqNet and JointNet map their own
+    arguments onto the keyword form, where ``lstm`` is ``(hidden width,
+    sequence length, per-step input width)``.
+
+    Parameter names follow the branches present: with both, the stacks are
+    ``tab{i}`` and ``headstack{i}``; with one, its stack is ``dense{i}``.
+    The LSTM is ``lstm`` and the head ``head``.  Layout and init order are
+    tabular stack, LSTM, second stack, head.
+    """
+
+    def __init__(self, spec: NetworkSpec, input_dim: int | None = None, *,
+                 tab_layers=None, lstm=None, head_layers=()):
+        tab_layers = spec.layers if tab_layers is None else tuple(tab_layers)
+        head_layers = tuple(head_layers)
+        if any(l.kind != "dense" for l in tab_layers + head_layers):
             raise BadConfig("DenseNet accepts dense layers only")
+        if input_dim is None and (tab_layers or lstm is None):
+            raise BadConfig("DenseNet needs input_dim unless it reads sequences only")
         self.spec = spec
+        self.loss = spec.loss
         self.input_dim = input_dim
-        builder = _LayoutBuilder()
-        fan_in = input_dim
-        for idx, layer in enumerate(spec.layers):
-            builder.add(f"dense{idx}.w", (fan_in, layer.width))
-            builder.add(f"dense{idx}.b", (layer.width,))
-            fan_in = layer.width
-        builder.add("head.w", (fan_in, 1))
-        builder.add("head.b", (1,))
-        self._builder = builder
+        self.lstm = lstm
+        both = input_dim is not None and lstm is not None
+        pre, post, start = ("tab", "headstack", 0) if both else ("dense", "dense", len(tab_layers))
+        self._tab_stack = tuple((f"{pre}{i}", l) for i, l in enumerate(tab_layers))
+        self._head_stack = tuple((f"{post}{i}", l) for i, l in enumerate(head_layers, start))
+
+        units = []
+        merged = 0
+
+        def add_stack(stack, fan_in):
+            for name, layer in stack:
+                units.append((name, "dense", fan_in, layer.width, layer.activation))
+                fan_in = layer.width
+            return fan_in
+
+        if input_dim is not None:
+            merged = add_stack(self._tab_stack, input_dim)
+        self._tab_width = merged
+        if lstm is not None:
+            hidden, _, seq_dim = lstm
+            units.append(("lstm", "lstm", seq_dim, hidden, None))
+            merged += hidden
+        units.append(("head", "dense", add_stack(self._head_stack, merged), 1, "sigmoid"))
+        self._layout = _Layout(units)
 
     def init_params(self, rng) -> NetworkParams:
-        params = self._builder.allocate(self.spec.seed)
-        fan_in = self.input_dim
-        for idx, layer in enumerate(self.spec.layers):
-            _init_dense(params, rng, f"dense{idx}", fan_in, layer.width, layer.activation)
-            fan_in = layer.width
-        _init_dense(params, rng, "head", fan_in, 1, "sigmoid")
-        return params
+        return self._layout.init(rng, self.spec.seed)
 
     def zero_grads(self) -> NetworkParams:
-        return self._builder.allocate(self.spec.seed)
+        return self._layout.zeros(self.spec.seed)
 
-    def forward(self, params, x):
-        x = np.asarray(x, dtype=np.float64)
-        if x.ndim != 2 or x.shape[1] != self.input_dim:
-            raise ShapeMismatch(f"expected (n, {self.input_dim}) input, got {x.shape}")
-        a, stack_cache = _dense_stack_forward(params, "dense", self.spec.layers, x)
+    def forward(self, params, *inputs):
+        """Probabilities and the backward cache; inputs are the tabular rows
+        and/or the sequences, in that order."""
+        expected = (self.input_dim is not None) + (self.lstm is not None)
+        if len(inputs) != expected:
+            raise ShapeMismatch(f"expected {expected} input arrays, got {len(inputs)}")
+        parts = []
+        tab_cache = []
+        lstm_cache = None
+        if self.input_dim is not None:
+            x = np.asarray(inputs[0], dtype=np.float64)
+            if x.ndim != 2 or x.shape[1] != self.input_dim:
+                raise ShapeMismatch(f"expected (n, {self.input_dim}) tabular input, got {x.shape}")
+            a, tab_cache = _dense_stack_forward(params, self._tab_stack, x)
+            parts.append(a)
+        if self.lstm is not None:
+            hidden, seq_len, seq_dim = self.lstm
+            x = np.asarray(inputs[-1], dtype=np.float64)
+            if x.ndim == 2:
+                x = x[:, :, None]
+            rows_match = not parts or x.shape[0] == parts[0].shape[0]
+            if x.ndim != 3 or x.shape[1:] != (seq_len, seq_dim) or not rows_match:
+                raise ShapeMismatch(f"expected (n, {seq_len}) sequences, got {x.shape}")
+            xs = np.ascontiguousarray(np.transpose(x, (1, 0, 2)))
+            h0 = np.zeros((xs.shape[1], hidden))
+            lstm_cache = (xs, _lstm_forward(params, "lstm", xs, h0, h0.copy()))
+            parts.append(lstm_cache[1][0][-1])
+        merged = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
+        a, head_stack_cache = _dense_stack_forward(params, self._head_stack, merged)
         q, head_cache = _head_forward(params, a)
-        return q, (stack_cache, head_cache)
+        # dense-layer caches in forward order first: tabular stack, second stack
+        return q, (tab_cache + head_stack_cache, (lstm_cache, head_cache))
 
     def backward(self, params, cache, dq, q) -> NetworkParams:
-        stack_cache, head_cache = cache
+        dense_cache, (lstm_cache, head_cache) = cache
+        n_tab = len(self._tab_stack)
         grads = self.zero_grads()
         da = _head_backward(params, grads, head_cache, dq, q)
-        _dense_stack_backward(params, grads, "dense", self.spec.layers, stack_cache, da)
+        dmerged = _dense_stack_backward(params, grads, self._head_stack, dense_cache[n_tab:], da)
+        if self.input_dim is not None:
+            _dense_stack_backward(
+                params, grads, self._tab_stack, dense_cache[:n_tab],
+                dmerged[:, : self._tab_width],
+            )
+        if self.lstm is not None:
+            xs, states = lstm_cache
+            hidden, seq_len, _ = self.lstm
+            dh_all = np.zeros((seq_len, xs.shape[1], hidden))
+            dh_all[-1] = dmerged[:, self._tab_width :]
+            _lstm_backward(params, grads, "lstm", xs, states, dh_all)
         return grads
 
     def forward_batch(self, params, inputs):
-        return self.forward(params, inputs[0])
+        return self.forward(params, *inputs)
+
+    def loss_and_grad(self, params, *inputs, target, weights=None):
+        """Batch loss and its parameter gradient, the step ``train`` drives."""
+        q, cache = self.forward_batch(params, inputs)
+        value, dq = _batch_loss_grad(self.spec.loss, target, q, weights)
+        return value, self.backward(params, cache, dq, q)
 
 
-class SeqNet:
+class SeqNet(DenseNet):
     """LSTM sequence reader followed by a dense stack."""
 
     def __init__(self, spec: NetworkSpec, seq_len: int, input_dim: int = 1):
         if not spec.layers or spec.layers[0].kind != "lstm":
             raise BadConfig("SeqNet requires an lstm first layer")
-        self.spec = spec
-        self.seq_len = seq_len
-        self.input_dim = input_dim
-        self.hidden = spec.layers[0].width
-        self.dense_layers = spec.layers[1:]
-        builder = _LayoutBuilder()
-        builder.add("lstm.wx", (input_dim, 4 * self.hidden))
-        builder.add("lstm.wh", (self.hidden, 4 * self.hidden))
-        builder.add("lstm.b", (4 * self.hidden,))
-        fan_in = self.hidden
-        for idx, layer in enumerate(self.dense_layers):
-            builder.add(f"dense{idx}.w", (fan_in, layer.width))
-            builder.add(f"dense{idx}.b", (layer.width,))
-            fan_in = layer.width
-        builder.add("head.w", (fan_in, 1))
-        builder.add("head.b", (1,))
-        self._builder = builder
-
-    def init_params(self, rng) -> NetworkParams:
-        params = self._builder.allocate(self.spec.seed)
-        _init_lstm(params, rng, "lstm", self.input_dim, self.hidden)
-        fan_in = self.hidden
-        for idx, layer in enumerate(self.dense_layers):
-            _init_dense(params, rng, f"dense{idx}", fan_in, layer.width, layer.activation)
-            fan_in = layer.width
-        _init_dense(params, rng, "head", fan_in, 1, "sigmoid")
-        return params
-
-    def zero_grads(self) -> NetworkParams:
-        return self._builder.allocate(self.spec.seed)
-
-    def _sequence(self, x):
-        x = np.asarray(x, dtype=np.float64)
-        if x.ndim == 2:
-            x = x[:, :, None]
-        if x.shape[1] != self.seq_len or x.shape[2] != self.input_dim:
-            raise ShapeMismatch(f"expected (n, {self.seq_len}) sequences, got {x.shape}")
-        return np.ascontiguousarray(np.transpose(x, (1, 0, 2)))
-
-    def forward(self, params, x):
-        xs = self._sequence(x)
-        batch = xs.shape[1]
-        h0 = np.zeros((batch, self.hidden))
-        hs, cs, zs = kernels.lstm_forward(
-            xs, params.view("lstm.wx"), params.view("lstm.wh"), params.view("lstm.b"),
-            h0, h0.copy(), False,
+        super().__init__(
+            spec, tab_layers=(), lstm=(spec.layers[0].width, seq_len, input_dim),
+            head_layers=spec.layers[1:],
         )
-        a, stack_cache = _dense_stack_forward(params, "dense", self.dense_layers, hs[-1])
-        q, head_cache = _head_forward(params, a)
-        return q, (xs, hs, cs, zs, stack_cache, head_cache)
-
-    def backward(self, params, cache, dq, q) -> NetworkParams:
-        xs, hs, cs, zs, stack_cache, head_cache = cache
-        grads = self.zero_grads()
-        da = _head_backward(params, grads, head_cache, dq, q)
-        dh_final = _dense_stack_backward(
-            params, grads, "dense", self.dense_layers, stack_cache, da
-        )
-        dh_all = np.zeros((self.seq_len, xs.shape[1], self.hidden))
-        dh_all[-1] = dh_final
-        dwx, dwh, db, _, _, _ = kernels.lstm_backward(
-            xs, params.view("lstm.wx"), params.view("lstm.wh"), hs, cs, zs, dh_all, False
-        )
-        grads.view("lstm.wx")[:] += dwx
-        grads.view("lstm.wh")[:] += dwh
-        grads.view("lstm.b")[:] += db
-        return grads
-
-    def forward_batch(self, params, inputs):
-        return self.forward(params, inputs[0])
 
 
-class JointNet:
+class JointNet(DenseNet):
     """Two-branch graph: dense stack on tabular rows, LSTM on sequences,
     concatenated into a dense head; trained end to end."""
 
@@ -398,112 +446,18 @@ class JointNet:
     ):
         if not tab_layers:
             raise BadConfig("JointNet needs at least one tabular layer")
-        self.tab_layers = tuple(tab_layers)
-        self.head_layers = tuple(head_layers)
-        self.lstm_width = lstm_width
-        self.loss = loss
-        self.tab_dim = tab_dim
-        self.seq_len = seq_len
-        self.seed = seed
-        self.spec = NetworkSpec(layers=self.tab_layers + self.head_layers, loss=loss, seed=seed)
-        builder = _LayoutBuilder()
-        fan_in = tab_dim
-        for idx, layer in enumerate(self.tab_layers):
-            builder.add(f"tab{idx}.w", (fan_in, layer.width))
-            builder.add(f"tab{idx}.b", (layer.width,))
-            fan_in = layer.width
-        builder.add("lstm.wx", (1, 4 * lstm_width))
-        builder.add("lstm.wh", (lstm_width, 4 * lstm_width))
-        builder.add("lstm.b", (4 * lstm_width,))
-        fan_in = fan_in + lstm_width
-        for idx, layer in enumerate(self.head_layers):
-            builder.add(f"headstack{idx}.w", (fan_in, layer.width))
-            builder.add(f"headstack{idx}.b", (layer.width,))
-            fan_in = layer.width
-        builder.add("head.w", (fan_in, 1))
-        builder.add("head.b", (1,))
-        self._builder = builder
-
-    def init_params(self, rng) -> NetworkParams:
-        params = self._builder.allocate(self.seed)
-        fan_in = self.tab_dim
-        for idx, layer in enumerate(self.tab_layers):
-            _init_dense(params, rng, f"tab{idx}", fan_in, layer.width, layer.activation)
-            fan_in = layer.width
-        _init_lstm(params, rng, "lstm", 1, self.lstm_width)
-        fan_in = fan_in + self.lstm_width
-        for idx, layer in enumerate(self.head_layers):
-            _init_dense(params, rng, f"headstack{idx}", fan_in, layer.width, layer.activation)
-            fan_in = layer.width
-        _init_dense(params, rng, "head", fan_in, 1, "sigmoid")
-        return params
-
-    def zero_grads(self) -> NetworkParams:
-        return self._builder.allocate(self.seed)
-
-    def forward(self, params, x_tab, x_seq):
-        x_tab = np.asarray(x_tab, dtype=np.float64)
-        if x_tab.ndim != 2 or x_tab.shape[1] != self.tab_dim:
-            raise ShapeMismatch(f"expected (n, {self.tab_dim}) tabular input, got {x_tab.shape}")
-        x_seq = np.asarray(x_seq, dtype=np.float64)
-        if x_seq.shape != (x_tab.shape[0], self.seq_len):
-            raise ShapeMismatch(f"expected (n, {self.seq_len}) sequences, got {x_seq.shape}")
-        xs = np.ascontiguousarray(x_seq.T[:, :, None])
-        batch = x_tab.shape[0]
-        a_tab, tab_cache = _dense_stack_forward(params, "tab", self.tab_layers, x_tab)
-        h0 = np.zeros((batch, self.lstm_width))
-        hs, cs, zs = kernels.lstm_forward(
-            xs, params.view("lstm.wx"), params.view("lstm.wh"), params.view("lstm.b"),
-            h0, h0.copy(), False,
+        spec = NetworkSpec(layers=tuple(tab_layers) + tuple(head_layers), loss=loss, seed=seed)
+        super().__init__(
+            spec, tab_dim, tab_layers=tab_layers, lstm=(lstm_width, seq_len, 1),
+            head_layers=head_layers,
         )
-        merged = np.concatenate([a_tab, hs[-1]], axis=1)
-        a_head, head_stack_cache = _dense_stack_forward(
-            params, "headstack", self.head_layers, merged
-        )
-        q, head_cache = _head_forward(params, a_head)
-        return q, (xs, tab_cache, hs, cs, zs, head_stack_cache, head_cache)
-
-    def backward(self, params, cache, dq, q) -> NetworkParams:
-        xs, tab_cache, hs, cs, zs, head_stack_cache, head_cache = cache
-        grads = self.zero_grads()
-        da = _head_backward(params, grads, head_cache, dq, q)
-        dmerged = _dense_stack_backward(
-            params, grads, "headstack", self.head_layers, head_stack_cache, da
-        )
-        tab_width = self.tab_layers[-1].width
-        da_tab = dmerged[:, :tab_width]
-        dh_final = dmerged[:, tab_width:]
-        _dense_stack_backward(params, grads, "tab", self.tab_layers, tab_cache, da_tab)
-        dh_all = np.zeros((self.seq_len, xs.shape[1], self.lstm_width))
-        dh_all[-1] = dh_final
-        dwx, dwh, db, _, _, _ = kernels.lstm_backward(
-            xs, params.view("lstm.wx"), params.view("lstm.wh"), hs, cs, zs, dh_all, False
-        )
-        grads.view("lstm.wx")[:] += dwx
-        grads.view("lstm.wh")[:] += dwh
-        grads.view("lstm.b")[:] += db
-        return grads
-
-    def forward_batch(self, params, inputs):
-        return self.forward(params, inputs[0], inputs[1])
-
-
-def build_model(spec: NetworkSpec, input_dim: int, seq_len: int | None = None):
-    if spec.layers and spec.layers[0].kind == "lstm":
-        if seq_len is None:
-            raise BadConfig("sequence length required for an lstm network")
-        return SeqNet(spec, seq_len=seq_len)
-    return DenseNet(spec, input_dim=input_dim)
 
 
 def forward(spec: NetworkSpec, params: NetworkParams, x) -> np.ndarray:
     """Deterministic forward pass to probabilities in (0, 1)."""
     x = np.asarray(x, dtype=np.float64)
-    if spec.layers and spec.layers[0].kind == "lstm":
-        model = SeqNet(spec, seq_len=x.shape[1])
-    else:
-        model = DenseNet(spec, input_dim=x.shape[1])
-    q, _ = model.forward(params, x)
+    model = SeqNet if spec.layers and spec.layers[0].kind == "lstm" else DenseNet
+    q, _ = model(spec, x.shape[1]).forward(params, x)
     return q
 
 
@@ -546,8 +500,6 @@ def _batch_loss_grad(kind: LossKind, y, q, weights):
         return loss_eval(kind, y, q), loss_grad(kind, y, q)
     if kind.kind != "cross_entropy":
         raise BadConfig("sample weights are only supported with cross-entropy loss")
-    from .losses import EPS
-
     qc = np.clip(q, EPS, 1.0 - EPS)
     per_sample = -(y * np.log(qc) + (1.0 - y) * np.log(1.0 - qc))
     return float(np.mean(weights * per_sample)), weights * loss_grad(kind, y, q)
@@ -560,18 +512,28 @@ def train(
     config: TrainConfig,
     sample_weight: np.ndarray | None = None,
 ):
-    """Mini-batch Adam; returns (params, per-epoch loss trace).
+    """Mini-batch Adam over any model; returns (params, per-epoch loss trace).
 
-    Deterministic given the model spec seed: one rng drives both the
-    initialization and the shuffle stream.  Early-stops on validation loss
-    when valid_data is given, restoring the best parameters.
+    train_data is (inputs, target): inputs is one array or a tuple of
+    row-aligned arrays, and target has one entry per row (class labels for
+    a classifier, the sequences themselves for the autoencoder).  The model
+    provides ``spec.seed``, ``init_params(rng)`` and
+    ``loss_and_grad(params, *batch_inputs, target=..., weights=...)``.
+
+    Deterministic given the spec seed: one rng draws the initialization,
+    then one row permutation per epoch.  Each batch step takes the loss and
+    gradient, raises NonFiniteLoss on a non-finite loss, applies one Adam
+    update and raises NonFiniteLoss on non-finite parameters.  With
+    valid_data, ``forward_batch`` and ``spec.loss`` score the validation
+    rows after every epoch; training stops after ``patience`` epochs
+    without improvement and returns the best parameters.
     """
-    inputs, y = train_data
+    inputs, target = train_data
     if not isinstance(inputs, tuple):
         inputs = (inputs,)
     inputs = tuple(np.asarray(a, dtype=np.float64) for a in inputs)
-    y = np.asarray(y, dtype=np.float64)
-    n = y.shape[0]
+    target = np.asarray(target, dtype=np.float64)
+    n = target.shape[0]
     if n == 0:
         raise BadConfig("training data must be nonempty")
     if any(a.shape[0] != n for a in inputs):
@@ -580,7 +542,6 @@ def train(
     rng = np.random.default_rng(model.spec.seed)
     params = model.init_params(rng)
     adam = AdamState.like(params.values)
-    kind = model.spec.loss
     trace = []
     best_loss = np.inf
     best_params = params.copy()
@@ -590,25 +551,23 @@ def train(
         epoch_loss = 0.0
         for start in range(0, n, config.batch_size):
             idx = perm[start : start + config.batch_size]
-            batch_inputs = tuple(a[idx] for a in inputs)
-            yb = y[idx]
-            wb = None if sample_weight is None else sample_weight[idx]
-            q, cache = model.forward_batch(params, batch_inputs)
-            value, dq = _batch_loss_grad(kind, yb, q, wb)
+            value, grads = model.loss_and_grad(
+                params, *(a[idx] for a in inputs), target=target[idx],
+                weights=None if sample_weight is None else sample_weight[idx],
+            )
             if not np.isfinite(value):
                 raise NonFiniteLoss(f"loss diverged at epoch {epoch}")
-            grads = model.backward(params, cache, dq, q)
             adam.update(params.values, grads.values, config)
             if not np.isfinite(params.values).all():
                 raise NonFiniteLoss(f"parameters diverged at epoch {epoch}")
-            epoch_loss += value * yb.shape[0]
+            epoch_loss += value * idx.shape[0]
         entry = {"epoch": epoch, "train_loss": epoch_loss / n}
         if valid_data is not None:
             v_inputs, v_y = valid_data
             if not isinstance(v_inputs, tuple):
                 v_inputs = (v_inputs,)
             v_q, _ = model.forward_batch(params, v_inputs)
-            v_loss = loss_eval(kind, np.asarray(v_y, dtype=np.float64), v_q)
+            v_loss = loss_eval(model.spec.loss, np.asarray(v_y, dtype=np.float64), v_q)
             entry["valid_loss"] = v_loss
             if v_loss < best_loss - 1e-12:
                 best_loss = v_loss

@@ -245,6 +245,13 @@ def _validation_split(deals, fraction: float):
 
 
 def fit_pipeline(train_deals, schema: DatasetSchema, config: FrameworkConfig) -> FittedPipeline:
+    return _fit(train_deals, schema, config, class_weighted=False)
+
+
+def _fit(train_deals, schema, config, class_weighted: bool) -> FittedPipeline:
+    """The one fit path.  class_weighted (set only by fit_logit) trains with
+    inverse-frequency sample weights on the un-resampled fit rows, in place
+    of SMOTE even when the config enables it."""
     if config.framework in ("f2", "f3"):
         if schema.sentiment_length == 0:
             raise MissingSentiment("schema carries no sentiment columns")
@@ -301,10 +308,6 @@ def fit_pipeline(train_deals, schema: DatasetSchema, config: FrameworkConfig) ->
         # tabular block and raw sequence ride one vector through SMOTE,
         # then split back into the two branches
         fit_x = np.hstack([tabular[fit_idx], sequences[fit_idx]])
-        if config.use_smote:
-            fit_x, fit_y = smote(fit_x, fit_y, config.smote)
-        width = partial.feature_width
-        fit_inputs = (fit_x[:, :width], fit_x[:, width:])
         valid_inputs = (tabular[valid_idx], sequences[valid_idx])
     else:
         if config.framework == "f2":
@@ -315,13 +318,22 @@ def fit_pipeline(train_deals, schema: DatasetSchema, config: FrameworkConfig) ->
             features = tabular
         partial.feature_width = features.shape[1]
         fit_x = features[fit_idx]
-        if config.use_smote:
-            fit_x, fit_y = smote(fit_x, fit_y, config.smote)
-        fit_inputs = (fit_x,)
         valid_inputs = (features[valid_idx],)
 
+    sample_weight = None
+    if class_weighted:
+        cw = partial.class_weights = class_weights(fit_y)
+        sample_weight = np.where(fit_y > 0, cw["positive"], cw["negative"])
+    elif config.use_smote:
+        fit_x, fit_y = smote(fit_x, fit_y, config.smote)
+    width = partial.feature_width
+    fit_inputs = (fit_x[:, :width], fit_x[:, width:]) if config.framework == "f3" else (fit_x,)
+
     model = partial._model()
-    params, trace = train(model, (fit_inputs, fit_y), (valid_inputs, y[valid_idx]), config.train)
+    params, trace = train(
+        model, (fit_inputs, fit_y), (valid_inputs, y[valid_idx]), config.train,
+        sample_weight=sample_weight,
+    )
     partial.params = params
     partial.trace = trace
     valid_q, _ = model.forward_batch(params, valid_inputs)
@@ -329,33 +341,29 @@ def fit_pipeline(train_deals, schema: DatasetSchema, config: FrameworkConfig) ->
     return partial
 
 
-def _run(train_deals, test_deals, schema, config):
-    fitted = fit_pipeline(train_deals, schema, config)
-    in_sample = fitted._evaluate_from_imputed(fitted.train_imputed)
-    out_of_sample = fitted.evaluate_on(test_deals)
-    return fitted, in_sample, out_of_sample
-
-
 def run_framework1(train_deals, test_deals, schema: DatasetSchema, config: FrameworkConfig):
     if config.framework != "f1":
         raise BadConfig(f"expected an f1 config, got {config.framework!r}")
-    return _run(train_deals, test_deals, schema, config)
+    return run_config(train_deals, test_deals, schema, config)
 
 
 def run_framework2(train_deals, test_deals, schema: DatasetSchema, config: FrameworkConfig):
     if config.framework != "f2":
         raise BadConfig(f"expected an f2 config, got {config.framework!r}")
-    return _run(train_deals, test_deals, schema, config)
+    return run_config(train_deals, test_deals, schema, config)
 
 
 def run_framework3(train_deals, test_deals, schema: DatasetSchema, config: FrameworkConfig):
     if config.framework != "f3":
         raise BadConfig(f"expected an f3 config, got {config.framework!r}")
-    return _run(train_deals, test_deals, schema, config)
+    return run_config(train_deals, test_deals, schema, config)
 
 
 def run_config(train_deals, test_deals, schema: DatasetSchema, config: FrameworkConfig):
-    return _run(train_deals, test_deals, schema, config)
+    """Fit on train_deals; return (fitted, in-sample report, test report)."""
+    fitted = fit_pipeline(train_deals, schema, config)
+    in_sample = fitted._evaluate_from_imputed(fitted.train_imputed)
+    return fitted, in_sample, fitted.evaluate_on(test_deals)
 
 
 # -- logit baselines -----------------------------------------------------------
@@ -374,42 +382,19 @@ def fit_logit(
     use_class_weights: bool = False,
     config: FrameworkConfig | None = None,
 ):
-    """Cross-entropy logistic baseline; optional inverse-frequency weights
-    (normalized to mean one)."""
+    """Cross-entropy logistic baseline; returns (fitted, in-sample report,
+    test report).
+
+    With use_class_weights, inverse-frequency class weights (normalized to
+    mean one) replace SMOTE: the logit trains once, with per-row sample
+    weights, on the un-resampled fit rows, whatever the config's use_smote.
+    """
     config = config or logit_config()
     if config.network.layers:
         raise BadConfig("logit baseline uses an empty layer stack")
-
-    if not use_class_weights:
-        fitted, in_rep, out_rep = _run(train_deals, test_deals, schema, config)
-        return fitted, in_rep, out_rep
-
-    # weighted fit shares the pipeline code path except for sample weights,
-    # so fit transforms once, then retrain with weights
-    fitted = fit_pipeline(train_deals, schema, config)
-    train_imputed = fitted.train_imputed
-    features = fitted.tabular_features(train_imputed)
-    y = labels_vector(train_imputed)
-    fit_idx, valid_idx = _validation_split(train_imputed, config.validation_fraction)
-    fit_y = y[fit_idx]
-    cw = class_weights(fit_y)
-    weights = np.where(fit_y > 0, cw["positive"], cw["negative"])
-    model = fitted._model()
-    params, trace = train(
-        model,
-        ((features[fit_idx],), fit_y),
-        ((features[valid_idx],), y[valid_idx]),
-        config.train,
-        sample_weight=weights,
-    )
-    fitted.params = params
-    fitted.trace = trace
-    valid_q, _ = model.forward_batch(params, (features[valid_idx],))
-    fitted.valid_report = evaluate(y[valid_idx], valid_q, threshold=config.train.threshold)
-    fitted.class_weights = cw
-    in_rep = fitted._evaluate_from_imputed(train_imputed)
-    out_rep = fitted.evaluate_on(test_deals)
-    return fitted, in_rep, out_rep
+    fitted = _fit(train_deals, schema, config, class_weighted=use_class_weights)
+    in_sample = fitted._evaluate_from_imputed(fitted.train_imputed)
+    return fitted, in_sample, fitted.evaluate_on(test_deals)
 
 
 def class_weights(labels) -> dict:

@@ -24,16 +24,6 @@ class TestMaskedSqdist:
             assert (np.isfinite(vec) == finite).all()
             assert np.allclose(vec[finite], ref[finite], atol=1e-10)
 
-    @pytest.mark.skipif(not kernels.NUMBA_AVAILABLE, reason="numba not installed")
-    def test_numba_matches_numpy(self):
-        for seed in range(6, 10):
-            qv, qm, rv, rm, w, cols = random_masked_problem(seed)
-            a = kernels.masked_sqdist_numba(qv, qm, rv, rm, w, cols)
-            b = kernels.masked_sqdist_numpy(qv, qm, rv, rm, w, cols)
-            finite = np.isfinite(a)
-            assert (np.isfinite(b) == finite).all()
-            assert np.allclose(a[finite], b[finite], atol=1e-10)
-
     def test_chunking_invariant(self):
         qv, qm, rv, rm, w, cols = random_masked_problem(42, nq=30)
         fine = kernels.masked_sqdist_numpy(qv, qm, rv, rm, w, cols, block=7)

@@ -282,6 +282,41 @@ class TestTraining:
         assert np.isfinite(params.values).all()
 
 
+def test_parameter_layouts_are_pinned():
+    # names, offsets and shapes are the model.json format
+    dense = DenseNet(dense_spec([3, 2]), input_dim=4)
+    assert dense.zero_grads().layout == (
+        ("dense0.w", 0, (4, 3)), ("dense0.b", 12, (3,)),
+        ("dense1.w", 15, (3, 2)), ("dense1.b", 21, (2,)),
+        ("head.w", 23, (2, 1)), ("head.b", 25, (1,)),
+    )
+    seq_spec = NetworkSpec(
+        layers=(LayerSpec("lstm", 3), LayerSpec("dense", 2, "elu")), loss=LossKind.cross_entropy()
+    )
+    assert SeqNet(seq_spec, seq_len=5).zero_grads().layout == (
+        ("lstm.wx", 0, (1, 12)), ("lstm.wh", 12, (3, 12)), ("lstm.b", 48, (12,)),
+        ("dense0.w", 60, (3, 2)), ("dense0.b", 66, (2,)),
+        ("head.w", 68, (2, 1)), ("head.b", 70, (1,)),
+    )
+    joint = JointNet(
+        tab_layers=(LayerSpec("dense", 3, "selu"),),
+        lstm_width=2,
+        head_layers=(LayerSpec("dense", 4, "elu"),),
+        loss=LossKind.cross_entropy(),
+        tab_dim=4,
+        seq_len=5,
+    )
+    assert joint.zero_grads().layout == (
+        ("tab0.w", 0, (4, 3)), ("tab0.b", 12, (3,)),
+        ("lstm.wx", 15, (1, 8)), ("lstm.wh", 23, (2, 8)), ("lstm.b", 39, (8,)),
+        ("headstack0.w", 47, (5, 4)), ("headstack0.b", 67, (4,)),
+        ("head.w", 71, (4, 1)), ("head.b", 75, (1,)),
+    )
+    for model in (dense, joint):
+        init = model.init_params(np.random.default_rng(0))
+        assert init.layout == model.zero_grads().layout
+
+
 def test_params_json_round_trip():
     spec = dense_spec([3], seed=8)
     model = DenseNet(spec, input_dim=2)

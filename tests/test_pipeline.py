@@ -244,6 +244,31 @@ class TestLogit:
         _, _, weighted = fit_logit(train, test, schema, use_class_weights=True, config=config)
         assert weighted.recall >= plain.recall
 
+    def test_weighted_logit_trains_once_in_place_of_smote(self, monkeypatch):
+        train, test, schema = universe(seed=15, n=400)
+        config = logit_config(
+            seed=2, use_smote=True, train=fast_train(epochs=10, lr=0.02), pca_dims=6, mca_dims=4
+        )
+        weights_seen = []
+        smote_calls = []
+        real_train, real_smote = pipeline.train, pipeline.smote
+
+        def counted_train(*args, **kwargs):
+            weights_seen.append(kwargs.get("sample_weight"))
+            return real_train(*args, **kwargs)
+
+        def counted_smote(*args, **kwargs):
+            smote_calls.append(args)
+            return real_smote(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "train", counted_train)
+        monkeypatch.setattr(pipeline, "smote", counted_smote)
+        fitted, _, _ = fit_logit(train, test, schema, use_class_weights=True, config=config)
+        assert len(weights_seen) == 1
+        cw = fitted.class_weights
+        assert set(np.unique(weights_seen[0])) == {cw["positive"], cw["negative"]}
+        assert smote_calls == []
+
 
 class TestInSampleReuse:
     """In-sample reports come from the fit-time imputation, not a second one."""
