@@ -1,7 +1,13 @@
-"""Benchmark the two hot kernels: numpy masked distance; numba vs numpy LSTM.
+"""Time the hot kernels at the shapes the pipeline runs them.
 
-Run: python benchmarks/bench_kernels.py [--refs 3000] [--seq 121] [--repeat 5]
-The numpy column is what you get with MERGEPIPE_NUMBA=0.
+Masked distance: the numpy gram-trick build.  LSTM: the two cells the
+seq-small workload runs at T=121, batch 64 -- the f3 classifier's tanh cell
+with hidden 8 and the f2 autoencoder's sigmoid cell with hidden 5 -- each
+timed forward alone and as a forward+backward round trip.  The numpy rows are
+the path every run takes with MERGEPIPE_NUMBA=0 or without numba; numba rows
+appear only when numba is installed.
+
+Run: python benchmarks/bench_kernels.py [--refs 3000] [--seq 121] [--batch 64] [--repeat 5]
 """
 
 from __future__ import annotations
@@ -12,6 +18,9 @@ import time
 import numpy as np
 
 from mergepipe import kernels
+
+# (label, hidden, sigmoid_candidate) of the two LSTM cells seq-small runs
+LSTM_CELLS = (("f3 classifier, tanh", 8, False), ("f2 autoencoder, sigmoid", 5, True))
 
 
 def timeit(fn, repeat):
@@ -35,7 +44,7 @@ def bench_masked_sqdist(n_refs, n_cols, repeat):
     return [("numpy (gram trick)", t_np)]
 
 
-def bench_lstm(seq_len, batch, hidden, repeat):
+def bench_lstm(seq_len, batch, hidden, sigmoid_candidate, repeat):
     rng = np.random.default_rng(1)
     x = rng.normal(size=(seq_len, batch, 1))
     wx = rng.normal(0, 0.3, (1, 4 * hidden))
@@ -44,28 +53,29 @@ def bench_lstm(seq_len, batch, hidden, repeat):
     h0 = np.zeros((batch, hidden))
     dh_all = rng.normal(size=(seq_len, batch, hidden))
 
-    def round_trip(forward, backward):
-        hs, cs, zs = forward(x, wx, wh, b, h0, h0.copy(), False)
-        backward(x, wx, wh, hs, cs, zs, dh_all, False)
+    def forward(fwd):
+        return fwd(x, wx, wh, b, h0, h0.copy(), sigmoid_candidate)
 
-    rows = []
-    t_np = timeit(lambda: round_trip(kernels.lstm_forward_numpy, kernels.lstm_backward_numpy), repeat)
-    rows.append(("numpy (python loop over t)", t_np))
+    def round_trip(fwd, bwd):
+        hs, cs, cache = forward(fwd)
+        bwd(x, wx, wh, hs, cs, cache, dh_all, sigmoid_candidate)
+
+    builds = [("numpy", kernels.lstm_forward_numpy, kernels.lstm_backward_numpy)]
     if kernels.lstm_forward_numba is not None:
-        round_trip(kernels.lstm_forward_numba, kernels.lstm_backward_numba)  # compile
-        t_nb = timeit(
-            lambda: round_trip(kernels.lstm_forward_numba, kernels.lstm_backward_numba), repeat
-        )
-        rows.append(("numba", t_nb))
+        builds.append(("numba", kernels.lstm_forward_numba, kernels.lstm_backward_numba))
+    rows = []
+    for name, fwd, bwd in builds:
+        round_trip(fwd, bwd)  # warm up (and compile the numba build)
+        rows.append((f"{name} forward", timeit(lambda: forward(fwd), repeat)))
+        rows.append((f"{name} forward+backward", timeit(lambda: round_trip(fwd, bwd), repeat)))
     return rows
 
 
-def show(title, rows):
+def show(title, rows, steps=None):
     print(f"\n{title}")
-    base = rows[0][1]
     for name, seconds in rows:
-        speedup = base / seconds
-        print(f"  {name:<28s} {seconds * 1e3:9.2f} ms   x{speedup:5.2f}")
+        per_step = f"   {seconds * 1e6 / steps:7.1f} us/step" if steps else ""
+        print(f"  {name:<28s} {seconds * 1e3:9.2f} ms{per_step}")
 
 
 def main():
@@ -74,7 +84,6 @@ def main():
     parser.add_argument("--cols", type=int, default=52)
     parser.add_argument("--seq", type=int, default=121, help="sequence length for the LSTM")
     parser.add_argument("--batch", type=int, default=64)
-    parser.add_argument("--hidden", type=int, default=8)
     parser.add_argument("--repeat", type=int, default=5)
     args = parser.parse_args()
 
@@ -84,10 +93,12 @@ def main():
         f"masked pairwise sqdist ({args.refs // 2}x{args.refs}, {args.cols} cols)",
         bench_masked_sqdist(args.refs, args.cols, args.repeat),
     )
-    show(
-        f"lstm forward+backward (T={args.seq}, batch={args.batch}, hidden={args.hidden})",
-        bench_lstm(args.seq, args.batch, args.hidden, args.repeat),
-    )
+    for label, hidden, sigmoid_candidate in LSTM_CELLS:
+        show(
+            f"lstm {label} (T={args.seq}, batch={args.batch}, hidden={hidden})",
+            bench_lstm(args.seq, args.batch, hidden, sigmoid_candidate, args.repeat),
+            steps=args.seq,
+        )
 
 
 if __name__ == "__main__":

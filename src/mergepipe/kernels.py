@@ -1,16 +1,20 @@
-"""Hot numeric kernels, numba-compiled when it actually pays.
+"""Hot numeric kernels: masked pairwise distances and LSTM sweeps.
 
 Two inner loops dominate pipeline runtime: masked pairwise distances for
 neighbour imputation, and LSTM forward/backward sweeps over 121-step
 sequences.  The masked distance has one build, the BLAS-backed gram-trick
 formulation in numpy: a compiled loop lost to it at every realistic shape.
 ``_masked_sqdist_loops`` stays as the plain-loop reference the tests
-compare it against.  The LSTM sweep carries a numba ``@njit`` build and a
-pure-numpy build, both importable (``*_numba`` / ``*_numpy``) for parity
-tests and ``benchmarks/bench_kernels.py``; the numba build wins ~2.5x at
-the small batches training uses and roughly ties at batch 64, so it is the
-default when available.  Set ``MERGEPIPE_NUMBA=0`` to force pure numpy
-everywhere (the guaranteed fallback path).
+compare it against.  The LSTM sweep keeps only the recurrence in its time
+loop: forward hoists the input projection into one GEMM and caches the gate
+activations, backward reads that cache and takes the weight gradients as
+single GEMMs after the loop (see the section comment below).  It has a
+pure-numpy build and, when numba is installed, an ``@njit`` build of the
+same code, both importable (``*_numpy`` / ``*_numba``) for parity tests and
+``benchmarks/bench_kernels.py``.  The numba build is the default when
+available, though it has not been timed against the current numpy build.
+Set ``MERGEPIPE_NUMBA=0`` to force pure numpy everywhere (the guaranteed
+fallback path).
 """
 
 from __future__ import annotations
@@ -95,86 +99,122 @@ def masked_sqdist_numpy(qv, qm, rv, rm, inv_scale, total_cols, block=512):
 # Gate layout along the 4H axis: [input | forget | candidate | output].
 # ``sigmoid_candidate`` switches the candidate/cell-output transform from
 # tanh to sigmoid (the autoencoder variant); gates always use sigmoid.
+#
+# Only the recurrence stays in the time loop.  Forward projects all T*B input
+# rows with one GEMM before the loop; each step adds h_{t-1} Wh to its slot
+# and turns the slot into gate activations in place, so the projection buffer
+# becomes the cache backward reads and backward never evaluates exp or tanh of
+# a pre-activation.  Backward derives every gate derivative in one pass over
+# T, carries only dh and dc through the loop, and takes dWx, dWh and db after
+# it as single GEMMs and one sum over all T*B rows.  Sigmoid is the one-ufunc
+# form sigmoid(z) = 0.5 + 0.5 * tanh(z / 2).
+#
+# Inside the kernels the batch is the innermost axis: the gate cache is
+# (4H, T, B), which is what one GEMM of the (4H, in) weights with the
+# (in, T*B) inputs gives, and the states are (T+1, H, B).  Every gate block of
+# a step is then a run of contiguous rows; strided gate slices of a (B, 4H)
+# slab cost about twice as much per numpy call at these sizes.  hs and cs are
+# returned as (T+1, B, H) views; the cache only means something to backward.
 
 
 def _lstm_forward_impl(x, wx, wh, b, h0, c0, sigmoid_candidate):
-    seq_len, batch, _ = x.shape
-    hidden = wh.shape[0]
-    hs = np.empty((seq_len + 1, batch, hidden), dtype=np.float64)
-    cs = np.empty((seq_len + 1, batch, hidden), dtype=np.float64)
-    zs = np.empty((seq_len, batch, 4 * hidden), dtype=np.float64)
-    hs[0] = h0
-    cs[0] = c0
-    for t in range(seq_len):
-        z = np.dot(x[t], wx) + np.dot(hs[t], wh) + b
-        ez = np.exp(-np.abs(z))
-        sig = np.where(z >= 0.0, 1.0 / (1.0 + ez), ez / (1.0 + ez))
-        i_g = sig[:, :hidden]
-        f_g = sig[:, hidden : 2 * hidden]
-        o_g = sig[:, 3 * hidden :]
-        if sigmoid_candidate:
-            cand = sig[:, 2 * hidden : 3 * hidden]
-        else:
-            cand = np.tanh(z[:, 2 * hidden : 3 * hidden])
-        c_t = f_g * cs[t] + i_g * cand
-        if sigmoid_candidate:
-            ec = np.exp(-np.abs(c_t))
-            tc = np.where(c_t >= 0.0, 1.0 / (1.0 + ec), ec / (1.0 + ec))
-        else:
-            tc = np.tanh(c_t)
-        zs[t] = z
-        cs[t + 1] = c_t
-        hs[t + 1] = o_g * tc
-    return hs, cs, zs
-
-
-def _lstm_backward_impl(x, wx, wh, hs, cs, zs, dh_all, sigmoid_candidate):
     seq_len, batch, in_dim = x.shape
     hidden = wh.shape[0]
-    dwx = np.zeros_like(wx)
-    dwh = np.zeros_like(wh)
-    db = np.zeros(4 * hidden, dtype=np.float64)
-    dx = np.empty((seq_len, batch, in_dim), dtype=np.float64)
-    wx_t = np.ascontiguousarray(wx.T)
-    wh_t = np.ascontiguousarray(wh.T)
-    dh = np.zeros((batch, hidden), dtype=np.float64)
-    dc = np.zeros((batch, hidden), dtype=np.float64)
-    for t in range(seq_len - 1, -1, -1):
-        dh = dh + dh_all[t]
-        z = zs[t]
-        ez = np.exp(-np.abs(z))
-        sig = np.where(z >= 0.0, 1.0 / (1.0 + ez), ez / (1.0 + ez))
-        i_g = sig[:, :hidden]
-        f_g = sig[:, hidden : 2 * hidden]
-        o_g = sig[:, 3 * hidden :]
+    # act(z) = s * tanh(s * z) + (1 - s): s = 1/2 on sigmoid rows, 1 on a tanh
+    # candidate.  s is a power of two, so folding it into the weights gives
+    # tanh the same argument as scaling z, bit for bit.
+    scale = np.full((4 * hidden, batch), 0.5)
+    if not sigmoid_candidate:
+        scale[2 * hidden : 3 * hidden] = 1.0
+    shift = 1.0 - scale
+    s = scale[:, :1]
+    wh_t = wh.T * s
+    gates = np.dot(wx.T * s, x.reshape(seq_len * batch, in_dim).T)
+    gates += b.reshape(4 * hidden, 1) * s
+    gates = gates.reshape(4 * hidden, seq_len, batch)
+    hs = np.empty((seq_len + 1, hidden, batch), dtype=np.float64)
+    cs = np.empty((seq_len + 1, hidden, batch), dtype=np.float64)
+    g = np.empty((4 * hidden, batch), dtype=np.float64)
+    tc = np.empty((hidden, batch), dtype=np.float64)
+    hs[0] = h0.T
+    cs[0] = c0.T
+    for t in range(seq_len):
+        # the step's gates are worked on contiguously, then stored as the cache
+        np.add(np.dot(wh_t, hs[t]), gates[:, t], g)
+        np.tanh(g, g)
+        g *= scale
+        g += shift
+        gates[:, t] = g
+        c = cs[t + 1]
+        np.multiply(g[hidden : 2 * hidden], cs[t], c)
+        c += g[:hidden] * g[2 * hidden : 3 * hidden]
         if sigmoid_candidate:
-            cand = sig[:, 2 * hidden : 3 * hidden]
-            dcand = cand * (1.0 - cand)
-            ec = np.exp(-np.abs(cs[t + 1]))
-            tc = np.where(cs[t + 1] >= 0.0, 1.0 / (1.0 + ec), ec / (1.0 + ec))
-            dtc = tc * (1.0 - tc)
+            np.multiply(c, 0.5, tc)
+            np.tanh(tc, tc)
+            tc *= 0.5
+            tc += 0.5
         else:
-            cand = np.tanh(z[:, 2 * hidden : 3 * hidden])
-            dcand = 1.0 - cand * cand
-            tc = np.tanh(cs[t + 1])
-            dtc = 1.0 - tc * tc
-        d_o = dh * tc
-        dct = dc + dh * o_g * dtc
-        d_i = dct * cand
-        d_f = dct * cs[t]
-        d_g = dct * i_g
-        dz = np.empty((batch, 4 * hidden), dtype=np.float64)
-        dz[:, :hidden] = d_i * i_g * (1.0 - i_g)
-        dz[:, hidden : 2 * hidden] = d_f * f_g * (1.0 - f_g)
-        dz[:, 2 * hidden : 3 * hidden] = d_g * dcand
-        dz[:, 3 * hidden :] = d_o * o_g * (1.0 - o_g)
-        dwx += np.dot(np.ascontiguousarray(x[t].T), dz)
-        dwh += np.dot(np.ascontiguousarray(hs[t].T), dz)
-        db += dz.sum(axis=0)
-        dx[t] = np.dot(dz, wx_t)
-        dh = np.dot(dz, wh_t)
-        dc = dct * f_g
-    return dwx, dwh, db, dx, dh, dc
+            np.tanh(c, tc)
+        np.multiply(g[3 * hidden :], tc, hs[t + 1])
+    return hs.transpose(0, 2, 1), cs.transpose(0, 2, 1), gates
+
+
+def _lstm_backward_impl(x, wx, wh, hs, cs, gates, dh_all, sigmoid_candidate):
+    seq_len, batch, in_dim = x.shape
+    hidden = wh.shape[0]
+    rows = seq_len * batch
+    hs = hs.transpose(0, 2, 1)
+    cs = cs.transpose(0, 2, 1)
+    f_g = gates[hidden : 2 * hidden]
+    cand = gates[2 * hidden : 3 * hidden]
+    # every factor of the loop that does not depend on the carried gradients,
+    # with ' the derivative of an activation:
+    #   dc_t = dc + dh * o * tc'      dz_o = dh * tc * o'
+    #   dz_i = dc_t * cand * i'       dz_f = dc_t * c_{t-1} * f'
+    #   dz_g = dc_t * i * cand'
+    # dz starts as the dz_* / dc_t and dz_o / dh factors; the loop scales each
+    # step's slot in place.
+    dz = 1.0 - gates
+    dz *= gates
+    if sigmoid_candidate:
+        tc = np.multiply(cs[1:], 0.5)
+        np.tanh(tc, tc)
+        tc *= 0.5
+        tc += 0.5
+        dc_from_h = 1.0 - tc
+        dc_from_h *= tc
+    else:
+        d_cand = dz[2 * hidden : 3 * hidden]
+        np.multiply(cand, cand, d_cand)
+        np.subtract(1.0, d_cand, d_cand)
+        tc = np.tanh(cs[1:])
+        dc_from_h = tc * tc
+        np.subtract(1.0, dc_from_h, dc_from_h)
+    dc_from_h *= gates[3 * hidden :].transpose(1, 0, 2)
+    dz[:hidden] *= cand
+    dz[hidden : 2 * hidden] *= cs[:-1].transpose(1, 0, 2)
+    dz[2 * hidden : 3 * hidden] *= gates[:hidden]
+    dz[3 * hidden :] *= tc.transpose(1, 0, 2)
+    dh_in = np.ascontiguousarray(dh_all.transpose(0, 2, 1))
+    dh = np.zeros((hidden, batch), dtype=np.float64)
+    dc = np.zeros((hidden, batch), dtype=np.float64)
+    for t in range(seq_len - 1, -1, -1):
+        dh += dh_in[t]
+        dct = dh * dc_from_h[t]
+        dct += dc
+        d = dz[:, t]
+        d[:hidden] *= dct
+        d[hidden : 2 * hidden] *= dct
+        d[2 * hidden : 3 * hidden] *= dct
+        d[3 * hidden :] *= dh
+        dc = dct * f_g[:, t]
+        dh = np.dot(wh, d)
+    dz = dz.reshape(4 * hidden, rows)
+    h_in = np.ascontiguousarray(hs[:-1].transpose(1, 0, 2)).reshape(hidden, rows)
+    dwx = np.dot(dz, x.reshape(rows, in_dim)).T
+    dwh = np.dot(dz, h_in.T).T
+    db = dz.sum(axis=1)
+    return dwx, dwh, db, dh.T, dc.T
 
 
 lstm_forward_numpy = _lstm_forward_impl

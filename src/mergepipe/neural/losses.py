@@ -71,50 +71,39 @@ def _checked(p, q):
     return p, np.clip(q, EPS, 1.0 - EPS)
 
 
-def _overlap_terms(p, q, alpha, beta):
+def loss_value_and_grad(kind: LossKind, p, q, weights=None):
+    """The loss and d(loss)/dq from one clamp of q, evaluated at the clamped
+    probabilities.  ``weights`` scales each sample's cross-entropy term; the
+    other losses take none."""
+    p, q = _checked(p, q)
+    n = p.shape[0]
+    if weights is not None and kind.kind != "cross_entropy":
+        raise BadConfig("sample weights are only supported with cross-entropy loss")
+    if kind.kind == "cross_entropy":
+        per_sample = -(p * np.log(q) + (1.0 - p) * np.log(1.0 - q))
+        grad = -(p / q - (1.0 - p) / (1.0 - q)) / n
+        if weights is None:
+            return float(np.mean(per_sample)), grad
+        return float(np.mean(weights * per_sample)), weights * grad
+    if kind.kind == "focal":
+        g = kind.gamma
+        value = -np.mean(p * (1.0 - q) ** g * np.log(q) + (1.0 - p) * q**g * np.log(1.0 - q))
+        pos = (1.0 - q) ** g / q - g * (1.0 - q) ** (g - 1.0) * np.log(q)
+        neg = g * q ** (g - 1.0) * np.log(1.0 - q) - q**g / (1.0 - q)
+        return float(value), -(p * pos + (1.0 - p) * neg) / n
+    alpha, beta = (0.5, 0.5) if kind.kind == "f1" else (kind.alpha, kind.beta)
     s = np.sum(p * q)
     t = np.sum(p * q + alpha * ((1.0 - p) * q) + beta * (p * (1.0 - q)))
-    return s, t
+    if t == 0.0:
+        return 1.0, np.zeros_like(q)
+    dt = p + alpha * (1.0 - p) - beta * p
+    return float(1.0 - s / t), -(p * t - s * dt) / (t * t)
 
 
 def loss_eval(kind: LossKind, p, q) -> float:
-    p, q = _checked(p, q)
-    if kind.kind == "cross_entropy":
-        return float(-np.mean(p * np.log(q) + (1.0 - p) * np.log(1.0 - q)))
-    if kind.kind == "focal":
-        g = kind.gamma
-        return float(
-            -np.mean(
-                p * (1.0 - q) ** g * np.log(q) + (1.0 - p) * q**g * np.log(1.0 - q)
-            )
-        )
-    if kind.kind == "f1":
-        s, t = _overlap_terms(p, q, 0.5, 0.5)
-    else:
-        s, t = _overlap_terms(p, q, kind.alpha, kind.beta)
-    if t == 0.0:
-        return 1.0
-    return float(1.0 - s / t)
+    return loss_value_and_grad(kind, p, q)[0]
 
 
 def loss_grad(kind: LossKind, p, q) -> np.ndarray:
     """d(loss)/dq, evaluated at the clamped probabilities."""
-    p, q = _checked(p, q)
-    n = p.shape[0]
-    if kind.kind == "cross_entropy":
-        return -(p / q - (1.0 - p) / (1.0 - q)) / n
-    if kind.kind == "focal":
-        g = kind.gamma
-        pos = (1.0 - q) ** g / q - g * (1.0 - q) ** (g - 1.0) * np.log(q)
-        neg = g * q ** (g - 1.0) * np.log(1.0 - q) - q**g / (1.0 - q)
-        return -(p * pos + (1.0 - p) * neg) / n
-    if kind.kind == "f1":
-        alpha, beta = 0.5, 0.5
-    else:
-        alpha, beta = kind.alpha, kind.beta
-    s, t = _overlap_terms(p, q, alpha, beta)
-    if t == 0.0:
-        return np.zeros_like(q)
-    ds = p
-    dt = p + alpha * (1.0 - p) - beta * p
-    return -(ds * t - s * dt) / (t * t)
+    return loss_value_and_grad(kind, p, q)[1]

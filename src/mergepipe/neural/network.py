@@ -17,7 +17,7 @@ import numpy as np
 
 from .. import kernels
 from ..errors import BadConfig, LengthMismatch, NonFiniteLoss, ShapeMismatch
-from .losses import EPS, LossKind, loss_eval, loss_grad
+from .losses import EPS, LossKind, loss_eval, loss_value_and_grad
 
 SELU_ALPHA = 1.67326324
 SELU_LAMBDA = 1.05070099
@@ -262,7 +262,7 @@ def _dense_stack_backward(params, grads, stack, cache, da):
 
 
 def _lstm_forward(params, name, xs, h0, c0, sigmoid_candidate=False):
-    """Sweep lstm unit ``name`` over time-major xs; returns (hs, cs, zs)."""
+    """Sweep lstm unit ``name`` over time-major xs; returns (hs, cs, gates)."""
     return kernels.lstm_forward(
         xs, params.view(f"{name}.wx"), params.view(f"{name}.wh"), params.view(f"{name}.b"),
         h0, c0, sigmoid_candidate,
@@ -271,9 +271,9 @@ def _lstm_forward(params, name, xs, h0, c0, sigmoid_candidate=False):
 
 def _lstm_backward(params, grads, name, xs, states, dh_all, sigmoid_candidate=False):
     """Accumulate the weight gradients of lstm unit ``name``; returns (dh0, dc0)."""
-    hs, cs, zs = states
-    dwx, dwh, db, _, dh0, dc0 = kernels.lstm_backward(
-        xs, params.view(f"{name}.wx"), params.view(f"{name}.wh"), hs, cs, zs, dh_all,
+    hs, cs, gates = states
+    dwx, dwh, db, dh0, dc0 = kernels.lstm_backward(
+        xs, params.view(f"{name}.wx"), params.view(f"{name}.wh"), hs, cs, gates, dh_all,
         sigmoid_candidate,
     )
     grads.view(f"{name}.wx")[:] += dwx
@@ -414,7 +414,7 @@ class DenseNet:
     def loss_and_grad(self, params, *inputs, target, weights=None):
         """Batch loss and its parameter gradient, the step ``train`` drives."""
         q, cache = self.forward_batch(params, inputs)
-        value, dq = _batch_loss_grad(self.spec.loss, target, q, weights)
+        value, dq = loss_value_and_grad(self.spec.loss, target, q, weights)
         return value, self.backward(params, cache, dq, q)
 
 
@@ -493,16 +493,6 @@ class AdamState:
         m_hat = self.m / (1.0 - config.beta1**self.step)
         v_hat = self.v / (1.0 - config.beta2**self.step)
         values -= config.learning_rate * m_hat / (np.sqrt(v_hat) + config.adam_eps)
-
-
-def _batch_loss_grad(kind: LossKind, y, q, weights):
-    if weights is None:
-        return loss_eval(kind, y, q), loss_grad(kind, y, q)
-    if kind.kind != "cross_entropy":
-        raise BadConfig("sample weights are only supported with cross-entropy loss")
-    qc = np.clip(q, EPS, 1.0 - EPS)
-    per_sample = -(y * np.log(qc) + (1.0 - y) * np.log(1.0 - qc))
-    return float(np.mean(weights * per_sample)), weights * loss_grad(kind, y, q)
 
 
 def train(

@@ -255,7 +255,9 @@ def _fit(train_deals, schema, config, class_weighted: bool) -> FittedPipeline:
     if config.framework in ("f2", "f3"):
         if schema.sentiment_length == 0:
             raise MissingSentiment("schema carries no sentiment columns")
-        sentiment_matrix(train_deals, schema)  # raises if any sequence is absent
+        # raises if any sequence is absent; imputation keeps sentiment as is,
+        # so this matrix also serves the imputed rows below
+        sequences = sentiment_matrix(train_deals, schema)
 
     imputer = fit_imputer(train_deals, schema, k=config.impute_k)
     train_imputed = impute(imputer, train_deals)
@@ -272,7 +274,6 @@ def _fit(train_deals, schema, config, class_weighted: bool) -> FittedPipeline:
 
     autoencoder = None
     if config.framework == "f2":
-        sequences = sentiment_matrix(train_imputed, schema)
         ae_spec = AutoencoderSpec(
             sequence_length=schema.sentiment_length,
             embedding_dim=config.embedding_dim,
@@ -303,7 +304,6 @@ def _fit(train_deals, schema, config, class_weighted: bool) -> FittedPipeline:
     fit_y = y[fit_idx]
 
     if config.framework == "f3":
-        sequences = sentiment_matrix(train_imputed, schema)
         partial.feature_width = tabular.shape[1]
         # tabular block and raw sequence ride one vector through SMOTE,
         # then split back into the two branches
@@ -311,7 +311,6 @@ def _fit(train_deals, schema, config, class_weighted: bool) -> FittedPipeline:
         valid_inputs = (tabular[valid_idx], sequences[valid_idx])
     else:
         if config.framework == "f2":
-            sequences = sentiment_matrix(train_imputed, schema)
             embedding = autoencoder_encode(autoencoder, sequences)
             features = np.hstack([tabular, embedding])
         else:
