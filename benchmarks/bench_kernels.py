@@ -1,9 +1,13 @@
 """Time the hot kernels at the shapes the pipeline runs them.
 
-Masked distance: the numpy gram-trick build.  LSTM: the two cells the
-seq-small workload runs at T=121, batch 64 -- the f3 classifier's tanh cell
-with hidden 8 and the f2 autoencoder's sigmoid cell with hidden 5 -- each
-timed forward alone and as a forward+backward round trip.  The numpy rows are
+Masked distance: the numpy gram-trick build, at a bulk shape and at the
+serving shape score-stream runs (1 and 64 query rows against the 4000 x 20
+reference matrix of a fitted f1 model), there with the reference-side terms
+prepared on every call and once, as ``ImputerModel`` holds them.  LSTM: the
+two cells the seq-small workload runs at T=121, batch 64 -- the f3
+classifier's tanh cell with hidden 8 and the f2 autoencoder's sigmoid cell
+with hidden 5 -- each timed forward alone and as a forward+backward round
+trip.  The numpy rows are
 the path every run takes with MERGEPIPE_NUMBA=0 or without numba; numba rows
 appear only when numba is installed.
 
@@ -42,6 +46,33 @@ def bench_masked_sqdist(n_refs, n_cols, repeat):
 
     t_np = timeit(lambda: kernels.masked_sqdist_numpy(qv, qm, rv, rm, inv_scale, n_cols), repeat)
     return [("numpy (gram trick)", t_np)]
+
+
+# (query rows, reference rows, columns) of score-stream's 1- and 64-deal requests
+SERVING_SHAPES = ((1, 4000, 20), (64, 4000, 20))
+
+
+def bench_masked_sqdist_serving(repeat):
+    rng = np.random.default_rng(2)
+    rows = []
+    for n_query, n_refs, n_cols in SERVING_SHAPES:
+        rv = rng.normal(size=(n_refs, n_cols))
+        qv = rng.normal(size=(n_query, n_cols))
+        rm = rng.random(rv.shape) > 0.05
+        qm = rng.random(qv.shape) > 0.05
+        inv_scale = 1.0 / (0.5 + rng.random(n_cols))
+        prepared = kernels.prepare_reference(rv, rm, inv_scale)
+
+        def per_call():
+            kernels.masked_sqdist(qv, qm, rv, rm, inv_scale, n_cols)
+
+        def once():
+            kernels.masked_sqdist(qv, qm, rv, rm, inv_scale, n_cols, reference=prepared)
+
+        label = f"{n_query}x{n_refs}"
+        rows.append((f"{label}, prepared per call", timeit(per_call, repeat)))
+        rows.append((f"{label}, prepared once", timeit(once, repeat)))
+    return rows
 
 
 def bench_lstm(seq_len, batch, hidden, sigmoid_candidate, repeat):
@@ -93,6 +124,8 @@ def main():
         f"masked pairwise sqdist ({args.refs // 2}x{args.refs}, {args.cols} cols)",
         bench_masked_sqdist(args.refs, args.cols, args.repeat),
     )
+    show("masked pairwise sqdist, serving shapes (20 cols)",
+         bench_masked_sqdist_serving(args.repeat))
     for label, hidden, sigmoid_candidate in LSTM_CELLS:
         show(
             f"lstm {label} (T={args.seq}, batch={args.batch}, hidden={hidden})",

@@ -5,7 +5,8 @@ from __future__ import annotations
 import csv
 import datetime as dt
 import json
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -124,15 +125,6 @@ def csv_header(schema: DatasetSchema) -> list:
     )
 
 
-def _check_sentiment(values, deal_id: str) -> tuple | None:
-    if values is None:
-        return None
-    vals = tuple(float(v) for v in values)
-    if any(not (-1.0 <= v <= 1.0) for v in vals):
-        raise BadSentiment(f"deal {deal_id}: sentiment value outside [-1, 1]")
-    return vals
-
-
 def load_deals_csv(path, schema: DatasetSchema) -> list:
     """Parse a deals CSV; empty cells denote missing values."""
     expected = csv_header(schema)
@@ -169,12 +161,16 @@ def load_deals_csv(path, schema: DatasetSchema) -> list:
             pos += n_cat
             sent_cells = row[pos : pos + s_len]
             pos += s_len
-            if all(c == "" for c in sent_cells):
+            if not sent_cells or "" in sent_cells:
+                if any(sent_cells):
+                    raise BadSentiment(f"{path}:{lineno}: partial sentiment sequence")
                 sentiment = None
-            elif any(c == "" for c in sent_cells):
-                raise BadSentiment(f"{path}:{lineno}: partial sentiment sequence")
             else:
-                sentiment = _check_sentiment([float(c) for c in sent_cells], deal_id)
+                sentiment = tuple(map(float, sent_cells))
+                # a NaN or inf makes the sum non-finite; min and max alone miss a NaN
+                lo, hi = min(sentiment), max(sentiment)
+                if not (math.isfinite(sum(sentiment)) and -1.0 <= lo and hi <= 1.0):
+                    raise BadSentiment(f"deal {deal_id}: sentiment value outside [-1, 1]")
             label = int(row[pos])
             if label not in (0, 1):
                 raise MalformedRow(f"{path}:{lineno}: label must be 0 or 1")
@@ -472,15 +468,6 @@ def sentiment_matrix(deals, schema: DatasetSchema) -> np.ndarray:
 
 def labels_vector(deals) -> np.ndarray:
     return np.array([r.label for r in deals], dtype=np.float64)
-
-
-def replace_tabular(deal: DealRecord, numeric_row, cat_row, schema: DatasetSchema) -> DealRecord:
-    numeric = tuple(float(v) for v in numeric_row)
-    categorical = tuple(
-        None if code < 0 else schema.categorical_levels[v][int(code)]
-        for v, code in enumerate(cat_row)
-    )
-    return replace(deal, numeric=numeric, categorical=categorical)
 
 
 def write_schema_json(path, schema: DatasetSchema) -> None:

@@ -15,18 +15,31 @@ including ``+inf`` for references sharing no observed coordinate) is
 stable-sorted whole instead.  Peak memory is O(block x n_ref), not
 O(n_query x n_ref).
 
+The reference side of the distance depends on the fitted model alone, so
+``ImputerModel`` prepares it once, when it is constructed: the observed
+mask, 1 / numeric_scale and ``kernels.prepare_reference``'s float mask,
+scaled zero-filled values and their square, about 3 x n_ref x D extra
+floats.  Every ``impute`` call passes them to ``kernels.masked_sqdist``.
+
+Missing cells of all incomplete rows are filled at once with array
+operations, bit-identical to a per-cell ``vals.mean()`` over the finite
+neighbour values and ``np.bincount(votes).argmax()`` over the observed
+neighbour labels.  Means are taken per group of cells with the same number
+of finite values: from 8 values on, numpy sums pairwise, so a masked sum
+over all k columns would group them differently.
+
 The model is immutable after fit and imputation is pure per row, so rows
 may be processed in parallel without changing the result.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import kernels
-from .dataset import DatasetSchema, categorical_codes, numeric_matrix, replace_tabular
+from .dataset import DatasetSchema, DealRecord, categorical_codes, numeric_matrix
 from .errors import NoComparableRow, TooFewRows
 
 
@@ -39,6 +52,20 @@ class ImputerModel:
     column_mean: np.ndarray  # observed train mean per column (NaN if none)
     column_mode: np.ndarray  # observed train mode code per variable (-1 if none)
     schema: DatasetSchema
+    # reference side of every distance call, derived from the fields above
+    # once per model: observed mask, 1 / numeric_scale and
+    # kernels.prepare_reference's (float mask, scaled values, their square)
+    reference_observed: np.ndarray = field(init=False, repr=False, compare=False)
+    inv_scale: np.ndarray = field(init=False, repr=False, compare=False)
+    reference_terms: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        observed = np.isfinite(self.reference_numeric)
+        inv_scale = 1.0 / self.numeric_scale
+        terms = kernels.prepare_reference(self.reference_numeric, observed, inv_scale)
+        object.__setattr__(self, "reference_observed", observed)
+        object.__setattr__(self, "inv_scale", inv_scale)
+        object.__setattr__(self, "reference_terms", terms)
 
 
 def fit_imputer(train, schema: DatasetSchema, k: int = 5) -> ImputerModel:
@@ -99,15 +126,16 @@ def top_k(d2: np.ndarray, k: int) -> np.ndarray:
 
 def _neighbour_indices(model: ImputerModel, query_num: np.ndarray, rows) -> np.ndarray:
     """k nearest reference indices per query row, ties broken by row index."""
-    rm = np.isfinite(model.reference_numeric)
-    rv = np.where(rm, model.reference_numeric, 0.0)
-    inv_scale = 1.0 / model.numeric_scale
-    out = np.empty((query_num.shape[0], min(model.k, rv.shape[0])), dtype=np.int64)
+    ref = model.reference_numeric
+    out = np.empty((query_num.shape[0], min(model.k, ref.shape[0])), dtype=np.int64)
     for start in range(0, query_num.shape[0], SEARCH_BLOCK):
         block = query_num[start : start + SEARCH_BLOCK]
         qm = np.isfinite(block)
         qv = np.where(qm, block, 0.0)
-        d2 = kernels.masked_sqdist(qv, qm, rv, rm, inv_scale, query_num.shape[1])
+        d2 = kernels.masked_sqdist(
+            qv, qm, ref, model.reference_observed, model.inv_scale, query_num.shape[1],
+            reference=model.reference_terms,
+        )
         no_overlap = ~np.isfinite(d2).any(axis=1)
         if no_overlap.any():
             bad = rows[start + int(np.flatnonzero(no_overlap)[0])]
@@ -116,6 +144,33 @@ def _neighbour_indices(model: ImputerModel, query_num: np.ndarray, rows) -> np.n
             )
         out[start : start + block.shape[0]] = top_k(d2, model.k)
     return out
+
+
+def _neighbour_means(vals: np.ndarray, fallback: np.ndarray) -> np.ndarray:
+    """Mean of the finite entries per row of vals (cells x k), else fallback.
+
+    Each row's finite entries are moved left, in order, and rows are grouped
+    by how many there are, so every mean sums the same values in the same
+    order as ``vals[np.isfinite(vals)].mean()`` on the row alone: numpy's
+    pairwise summation groups a length-c row the same way in both.
+    """
+    finite = np.isfinite(vals)
+    count = finite.sum(axis=1)
+    packed = np.take_along_axis(vals, np.argsort(~finite, axis=1, kind="stable"), axis=1)
+    out = fallback.copy()
+    for c in np.unique(count[count > 0]):
+        rows = count == c
+        out[rows] = packed[rows, :c].mean(axis=1)
+    return out
+
+
+def _majority_votes(codes: np.ndarray, fallback: np.ndarray) -> np.ndarray:
+    """Most frequent code >= 0 per row of codes (cells x k), the lowest code
+    on a tie as ``np.bincount(...).argmax()`` gives it; fallback where no
+    row entry is >= 0."""
+    levels = np.arange(codes.max(initial=0) + 1)
+    counts = (codes[:, :, None] == levels).sum(axis=1)
+    return np.where(counts.any(axis=1), counts.argmax(axis=1), fallback)
 
 
 def impute(model: ImputerModel, deals) -> list:
@@ -131,30 +186,27 @@ def impute(model: ImputerModel, deals) -> list:
 
     sub = [deals[i] for i in incomplete]
     nbrs = _neighbour_indices(model, query_num[incomplete], sub)
+    num = query_num[incomplete]
+    cat = query_cat[incomplete]
 
-    out_num = query_num.copy()
-    out_cat = query_cat.copy()
-    for row, i in enumerate(incomplete):
-        nb_num = model.reference_numeric[nbrs[row]]
-        nb_cat = model.reference_categorical[nbrs[row]]
-        for j in np.flatnonzero(~np.isfinite(query_num[i])):
-            vals = nb_num[:, j]
-            vals = vals[np.isfinite(vals)]
-            if vals.size:
-                out_num[i, j] = vals.mean()
-            elif np.isfinite(model.column_mean[j]):
-                out_num[i, j] = model.column_mean[j]
-            else:
-                out_num[i, j] = 0.0
-        for v in np.flatnonzero(query_cat[i] < 0):
-            votes = nb_cat[:, v][nb_cat[:, v] >= 0]
-            if votes.size:
-                counts = np.bincount(votes, minlength=len(schema.categorical_levels[v]))
-                out_cat[i, v] = int(np.argmax(counts))
-            else:
-                out_cat[i, v] = max(model.column_mode[v], 0)
+    # every missing cell at once: its row's k neighbours' values in its column
+    rows, cols = np.nonzero(~np.isfinite(num))
+    fallback = np.where(np.isfinite(model.column_mean), model.column_mean, 0.0)
+    num[rows, cols] = _neighbour_means(
+        model.reference_numeric[nbrs[rows], cols[:, None]], fallback[cols]
+    )
+    rows, cols = np.nonzero(cat < 0)
+    cat[rows, cols] = _majority_votes(
+        model.reference_categorical[nbrs[rows], cols[:, None]],
+        np.maximum(model.column_mode, 0)[cols],
+    )
 
+    levels = schema.categorical_levels
     result = list(deals)
-    for i in incomplete:
-        result[i] = replace_tabular(deals[i], out_num[i], out_cat[i], schema)
+    for i, num_row, cat_row in zip(incomplete.tolist(), num.tolist(), cat.tolist()):
+        d = deals[i]
+        result[i] = DealRecord(
+            d.deal_id, d.announce_date, tuple(num_row),
+            tuple(levels[v][code] for v, code in enumerate(cat_row)), d.sentiment, d.label,
+        )
     return result

@@ -4,6 +4,10 @@ Two inner loops dominate pipeline runtime: masked pairwise distances for
 neighbour imputation, and LSTM forward/backward sweeps over 121-step
 sequences.  The masked distance has one build, the BLAS-backed gram-trick
 formulation in numpy: a compiled loop lost to it at every realistic shape.
+Its reference-side terms (float mask, scaled zero-filled values and their
+square) depend only on the references, so ``prepare_reference`` builds them
+once and a caller that scores many query sets, like the imputer, passes
+them in; that costs about 3 x n_ref x D extra floats.
 ``_masked_sqdist_loops`` stays as the plain-loop reference the tests
 compare it against.  The LSTM sweep keeps only the recurrence in its time
 loop: forward hoists the input projection into one GEMM and caches the gate
@@ -72,13 +76,23 @@ def _masked_sqdist_loops(qv, qm, rv, rm, inv_scale, total_cols):
     return out
 
 
-def masked_sqdist_numpy(qv, qm, rv, rm, inv_scale, total_cols, block=512):
-    """Vectorized build: d2 = A2q.Mr' - 2 Aq.Ar' + Mq.A2r', chunked over rows."""
-    mq = qm.astype(np.float64)
-    mr = rm.astype(np.float64)
-    aq = np.where(qm, qv * inv_scale, 0.0)
+def prepare_reference(rv, rm, inv_scale):
+    """Reference-side terms of ``masked_sqdist_numpy``: (mask as float, scaled
+    zero-filled values, their square), each (n_ref, D)."""
     ar = np.where(rm, rv * inv_scale, 0.0)
-    a2r = ar * ar
+    return rm.astype(np.float64), ar, ar * ar
+
+
+def masked_sqdist_numpy(qv, qm, rv, rm, inv_scale, total_cols, block=512, reference=None):
+    """Vectorized build: d2 = A2q.Mr' - 2 Aq.Ar' + Mq.A2r', chunked over rows.
+
+    ``reference`` is ``prepare_reference(rv, rm, inv_scale)`` computed once
+    by a caller that scores many query sets against the same references;
+    without it the terms are derived here on every call.
+    """
+    mr, ar, a2r = prepare_reference(rv, rm, inv_scale) if reference is None else reference
+    mq = qm.astype(np.float64)
+    aq = np.where(qm, qv * inv_scale, 0.0)
     out = np.empty((qv.shape[0], rv.shape[0]), dtype=np.float64)
     for start in range(0, qv.shape[0], block):
         stop = min(start + block, qv.shape[0])

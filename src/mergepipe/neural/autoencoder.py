@@ -66,6 +66,9 @@ class SequenceAutoencoder:
     def init_params(self, rng) -> NetworkParams:
         return self._layout.init(rng, self.spec.seed)
 
+    def zero_grads(self) -> NetworkParams:
+        return self._layout.zeros(self.spec.seed)
+
     def _check(self, sequences) -> np.ndarray:
         x = np.asarray(sequences, dtype=np.float64)
         if x.ndim != 2 or x.shape[1] != self.spec.sequence_length:
@@ -95,7 +98,7 @@ class SequenceAutoencoder:
         recon = (dec[0][1:] @ params.view("out.w"))[:, :, 0].T + params.view("out.b")[0]
         return recon, (x, xs, enc, z_embed, dec, zeros_in)
 
-    def loss_and_grad(self, params, sequences, target=None, weights=None):
+    def loss_and_grad(self, params, sequences, target=None, weights=None, grads=None):
         """Mean Euclidean distance between the reconstruction and target
         (default: the sequences themselves) and its parameter gradient."""
         if weights is not None:
@@ -108,13 +111,13 @@ class SequenceAutoencoder:
         value = float(np.mean(norms))
         safe = np.maximum(norms, 1e-12)
         drecon = resid / (n * safe[:, None])
-        grads = self.backward(params, cache, drecon)
-        return value, grads
+        return value, self.backward(params, cache, drecon, grads)
 
-    def backward(self, params, cache, drecon) -> NetworkParams:
+    def backward(self, params, cache, drecon, grads=None) -> NetworkParams:
+        """Parameter gradient; written into ``grads`` when given."""
         x, xs, enc, z_embed, dec, zeros_in = cache
         n, seq_len = x.shape
-        grads = self._layout.zeros(self.spec.seed)
+        grads = self._layout.zeros(self.spec.seed, grads)
 
         # per-step readout, vectorized over t
         out_w = params.view("out.w")

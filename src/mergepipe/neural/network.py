@@ -11,7 +11,8 @@ the same spec seed, training is bitwise reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -156,15 +157,15 @@ class NetworkParams:
     init_seed: int
 
     def __post_init__(self):
-        # name -> (slice, shape), resolved once instead of on every view call
+        # name -> array view into values, resolved once instead of on every
+        # view call; values is only ever updated in place
         self._views = {
-            name: (slice(offset, offset + int(np.prod(shape))), shape)
+            name: self.values[offset : offset + math.prod(shape)].reshape(shape)
             for name, offset, shape in self.layout
         }
 
     def view(self, name: str) -> np.ndarray:
-        span, shape = self._views[name]
-        return self.values[span].reshape(shape)
+        return self._views[name]
 
     def copy(self) -> "NetworkParams":
         return NetworkParams(self.values.copy(), self.layout, self.init_seed)
@@ -204,12 +205,16 @@ class _Layout:
                 shapes = (("w", (fan_in, width)), ("b", (width,)))
             for suffix, shape in shapes:
                 entries.append((f"{name}.{suffix}", size, shape))
-                size += int(np.prod(shape))
+                size += math.prod(shape)
         self.entries = tuple(entries)
         self.size = size
 
-    def zeros(self, seed) -> NetworkParams:
-        return NetworkParams(np.zeros(self.size), self.entries, seed)
+    def zeros(self, seed, out: NetworkParams | None = None) -> NetworkParams:
+        """A zero store of this layout; ``out``, when given, is zeroed in place."""
+        if out is None:
+            return NetworkParams(np.zeros(self.size), self.entries, seed)
+        out.values.fill(0.0)
+        return out
 
     def init(self, rng, seed) -> NetworkParams:
         params = self.zeros(seed)
@@ -389,10 +394,11 @@ class DenseNet:
         # dense-layer caches in forward order first: tabular stack, second stack
         return q, (tab_cache + head_stack_cache, (lstm_cache, head_cache))
 
-    def backward(self, params, cache, dq, q) -> NetworkParams:
+    def backward(self, params, cache, dq, q, grads=None) -> NetworkParams:
+        """Parameter gradient; written into ``grads`` when given."""
         dense_cache, (lstm_cache, head_cache) = cache
         n_tab = len(self._tab_stack)
-        grads = self.zero_grads()
+        grads = self._layout.zeros(self.spec.seed, grads)
         da = _head_backward(params, grads, head_cache, dq, q)
         dmerged = _dense_stack_backward(params, grads, self._head_stack, dense_cache[n_tab:], da)
         if self.input_dim is not None:
@@ -411,11 +417,11 @@ class DenseNet:
     def forward_batch(self, params, inputs):
         return self.forward(params, *inputs)
 
-    def loss_and_grad(self, params, *inputs, target, weights=None):
+    def loss_and_grad(self, params, *inputs, target, weights=None, grads=None):
         """Batch loss and its parameter gradient, the step ``train`` drives."""
         q, cache = self.forward_batch(params, inputs)
         value, dq = loss_value_and_grad(self.spec.loss, target, q, weights)
-        return value, self.backward(params, cache, dq, q)
+        return value, self.backward(params, cache, dq, q, grads)
 
 
 class SeqNet(DenseNet):
@@ -481,18 +487,37 @@ class AdamState:
     m: np.ndarray
     v: np.ndarray
     step: int = 0
+    # scratch for the update's temporaries, reused across steps
+    _a: np.ndarray = field(init=False, repr=False, compare=False)
+    _b: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self._a = np.empty_like(self.m)
+        self._b = np.empty_like(self.m)
 
     @classmethod
     def like(cls, values: np.ndarray) -> "AdamState":
         return cls(np.zeros_like(values), np.zeros_like(values))
 
     def update(self, values, grads, config: TrainConfig):
+        """In place, in the operation order of
+        m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*g*g;
+        values -= lr * (m/(1-b1^t)) / (sqrt(v/(1-b2^t)) + eps)."""
         self.step += 1
-        self.m = config.beta1 * self.m + (1.0 - config.beta1) * grads
-        self.v = config.beta2 * self.v + (1.0 - config.beta2) * grads * grads
-        m_hat = self.m / (1.0 - config.beta1**self.step)
-        v_hat = self.v / (1.0 - config.beta2**self.step)
-        values -= config.learning_rate * m_hat / (np.sqrt(v_hat) + config.adam_eps)
+        a, b = self._a, self._b
+        self.m *= config.beta1
+        self.m += np.multiply(grads, 1.0 - config.beta1, out=a)
+        np.multiply(grads, 1.0 - config.beta2, out=a)
+        a *= grads
+        self.v *= config.beta2
+        self.v += a
+        np.divide(self.m, 1.0 - config.beta1**self.step, out=a)
+        a *= config.learning_rate
+        np.divide(self.v, 1.0 - config.beta2**self.step, out=b)
+        np.sqrt(b, out=b)
+        b += config.adam_eps
+        a /= b
+        values -= a
 
 
 def train(
@@ -507,8 +532,9 @@ def train(
     train_data is (inputs, target): inputs is one array or a tuple of
     row-aligned arrays, and target has one entry per row (class labels for
     a classifier, the sequences themselves for the autoencoder).  The model
-    provides ``spec.seed``, ``init_params(rng)`` and
-    ``loss_and_grad(params, *batch_inputs, target=..., weights=...)``.
+    provides ``spec.seed``, ``init_params(rng)``, ``zero_grads()`` and
+    ``loss_and_grad(params, *batch_inputs, target=..., weights=..., grads=...)``,
+    which writes each batch's gradient into the one store ``train`` owns.
 
     Deterministic given the spec seed: one rng draws the initialization,
     then one row permutation per epoch.  Each batch step takes the loss and
@@ -532,6 +558,7 @@ def train(
     rng = np.random.default_rng(model.spec.seed)
     params = model.init_params(rng)
     adam = AdamState.like(params.values)
+    grads = model.zero_grads()
     trace = []
     best_loss = np.inf
     best_params = params.copy()
@@ -543,7 +570,7 @@ def train(
             idx = perm[start : start + config.batch_size]
             value, grads = model.loss_and_grad(
                 params, *(a[idx] for a in inputs), target=target[idx],
-                weights=None if sample_weight is None else sample_weight[idx],
+                weights=None if sample_weight is None else sample_weight[idx], grads=grads,
             )
             if not np.isfinite(value):
                 raise NonFiniteLoss(f"loss diverged at epoch {epoch}")

@@ -147,14 +147,20 @@ class FittedPipeline:
     valid_report: EvalReport
     feature_width: int
     class_weights: dict | None = None
-    # training rows as imputed at fit time; in-sample reports reuse them
+    # training rows as imputed at fit time, and the model inputs built from
+    # them; in-sample reports reuse both
     train_imputed: list | None = field(default=None, repr=False, compare=False)
+    train_inputs: tuple | None = field(default=None, repr=False, compare=False)
+    _network: object = field(default=None, init=False, repr=False, compare=False)
 
     def _model(self):
+        """The network object, built once from config and feature width."""
+        if self._network is not None:
+            return self._network
         cfg = self.config
         spec = dataclasses.replace(cfg.network, seed=cfg.seed)
         if cfg.framework == "f3":
-            return JointNet(
+            self._network = JointNet(
                 tab_layers=spec.layers[:1],
                 lstm_width=cfg.lstm_width,
                 head_layers=spec.layers[1:],
@@ -163,7 +169,9 @@ class FittedPipeline:
                 seq_len=self.schema.sentiment_length,
                 seed=cfg.seed,
             )
-        return DenseNet(spec, input_dim=self.feature_width)
+        else:
+            self._network = DenseNet(spec, input_dim=self.feature_width)
+        return self._network
 
     def tabular_features(self, deals_imputed) -> np.ndarray:
         numeric = numeric_matrix(deals_imputed, self.schema)
@@ -195,14 +203,16 @@ class FittedPipeline:
         return q
 
     def evaluate_on(self, deals) -> EvalReport:
-        return self._evaluate_from_imputed(impute(self.imputer, deals))
+        imputed = impute(self.imputer, deals)
+        return self._report(labels_vector(imputed), self._scores_from_imputed(imputed))
 
-    def _evaluate_from_imputed(self, deals_imputed) -> EvalReport:
-        return evaluate(
-            labels_vector(deals_imputed),
-            self._scores_from_imputed(deals_imputed),
-            threshold=self.config.train.threshold,
-        )
+    def in_sample_report(self) -> EvalReport:
+        """Report on the training rows, scored from their fit-time inputs."""
+        q, _ = self._model().forward_batch(self.params, self.train_inputs)
+        return self._report(labels_vector(self.train_imputed), q)
+
+    def _report(self, labels, scores) -> EvalReport:
+        return evaluate(labels, scores, threshold=self.config.train.threshold)
 
     def to_json(self) -> dict:
         ref_num = self.imputer.reference_numeric
@@ -308,6 +318,7 @@ def _fit(train_deals, schema, config, class_weighted: bool) -> FittedPipeline:
         # tabular block and raw sequence ride one vector through SMOTE,
         # then split back into the two branches
         fit_x = np.hstack([tabular[fit_idx], sequences[fit_idx]])
+        partial.train_inputs = (tabular, sequences)
         valid_inputs = (tabular[valid_idx], sequences[valid_idx])
     else:
         if config.framework == "f2":
@@ -317,6 +328,7 @@ def _fit(train_deals, schema, config, class_weighted: bool) -> FittedPipeline:
             features = tabular
         partial.feature_width = features.shape[1]
         fit_x = features[fit_idx]
+        partial.train_inputs = (features,)
         valid_inputs = (features[valid_idx],)
 
     sample_weight = None
@@ -361,7 +373,7 @@ def run_framework3(train_deals, test_deals, schema: DatasetSchema, config: Frame
 def run_config(train_deals, test_deals, schema: DatasetSchema, config: FrameworkConfig):
     """Fit on train_deals; return (fitted, in-sample report, test report)."""
     fitted = fit_pipeline(train_deals, schema, config)
-    in_sample = fitted._evaluate_from_imputed(fitted.train_imputed)
+    in_sample = fitted.in_sample_report()
     return fitted, in_sample, fitted.evaluate_on(test_deals)
 
 
@@ -392,7 +404,7 @@ def fit_logit(
     if config.network.layers:
         raise BadConfig("logit baseline uses an empty layer stack")
     fitted = _fit(train_deals, schema, config, class_weighted=use_class_weights)
-    in_sample = fitted._evaluate_from_imputed(fitted.train_imputed)
+    in_sample = fitted.in_sample_report()
     return fitted, in_sample, fitted.evaluate_on(test_deals)
 
 

@@ -68,6 +68,31 @@ class TestLoadCsv:
         with pytest.raises(BadSentiment):
             load_deals_csv(f, tiny_schema())
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "-1.0000001"])
+    def test_non_finite_or_out_of_range_sentiment_rejected(self, tmp_path, cell):
+        # min and max alone let a NaN through in most positions
+        for pos in range(4):
+            cells = ["0.1", "0.2", "0.3", "0.4"]
+            cells[pos] = cell
+            f = tmp_path / "deals.csv"
+            write_csv(f, [HEADER, f"a,2015-01-02,1.0,0.2,US,{','.join(cells)},0"])
+            with pytest.raises(BadSentiment, match="deal a: sentiment value outside"):
+                load_deals_csv(f, tiny_schema())
+
+    def test_sentiment_converted_to_floats(self, tmp_path):
+        f = tmp_path / "deals.csv"
+        write_csv(f, [HEADER, "a,2015-01-02,1.0,0.2,US,-1,1,0.25,0,0"])
+        [deal] = load_deals_csv(f, tiny_schema())
+        assert deal.sentiment == (-1.0, 1.0, 0.25, 0.0)
+        assert all(type(v) is float for v in deal.sentiment)
+
+    def test_no_sentiment_columns(self, tmp_path):
+        f = tmp_path / "deals.csv"
+        write_csv(f, ["deal_id,announce_date,tic_ebitda,premium,region,label",
+                      "a,2015-01-02,1.0,0.2,US,0"])
+        [deal] = load_deals_csv(f, tiny_schema(sent_len=0))
+        assert deal.sentiment is None
+
     def test_all_empty_sentiment_is_absent(self, tmp_path):
         f = tmp_path / "deals.csv"
         write_csv(f, [HEADER, "a,2015-01-02,1.0,0.2,US,,,,,0"])

@@ -1,12 +1,23 @@
+import dataclasses
 import datetime as dt
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mergepipe.dataset import DatasetSchema, DealRecord, GeneratorConfig, generate_synthetic
+from mergepipe import kernels
+from mergepipe.dataset import (
+    DatasetSchema,
+    DealRecord,
+    GeneratorConfig,
+    categorical_codes,
+    generate_synthetic,
+    numeric_matrix,
+)
 from mergepipe.errors import NoComparableRow, TooFewRows
-from mergepipe.impute import SEARCH_BLOCK, fit_imputer, impute, top_k
+from mergepipe.impute import SEARCH_BLOCK, _neighbour_indices, fit_imputer, impute, top_k
 
 
 def schema_two_numeric():
@@ -218,3 +229,165 @@ class TestProperties:
             for before, after in zip(deals, out):
                 if before.categorical[v] is None:
                     assert after.categorical[v] == mode
+
+
+def impute_loops(model, deals):
+    """Per-row, per-cell reference fill: the same neighbours, then one
+    ``vals.mean()`` and one ``bincount(...).argmax()`` per missing cell.
+    Returns the filled records and how often each fallback was taken."""
+    schema = model.schema
+    query_num = numeric_matrix(deals, schema)
+    query_cat = categorical_codes(deals, schema)
+    incomplete = np.flatnonzero(
+        ~np.isfinite(query_num).all(axis=1) | (query_cat < 0).any(axis=1)
+    )
+    used = {"mean": 0, "zero": 0, "mode": 0, "level0": 0, "pairwise": 0}
+    result = list(deals)
+    if incomplete.size == 0:
+        return result, used
+    nbrs = _neighbour_indices(model, query_num[incomplete], [deals[i] for i in incomplete])
+    for row, i in enumerate(incomplete):
+        nb_num = model.reference_numeric[nbrs[row]]
+        nb_cat = model.reference_categorical[nbrs[row]]
+        num, cat = query_num[i].copy(), query_cat[i].copy()
+        for j in np.flatnonzero(~np.isfinite(query_num[i])):
+            vals = nb_num[:, j]
+            vals = vals[np.isfinite(vals)]
+            if vals.size:
+                num[j] = vals.mean()
+                used["pairwise"] += vals.size >= 8  # numpy sums 8+ values pairwise
+            elif np.isfinite(model.column_mean[j]):
+                num[j] = model.column_mean[j]
+                used["mean"] += 1
+            else:
+                num[j] = 0.0
+                used["zero"] += 1
+        for v in np.flatnonzero(query_cat[i] < 0):
+            votes = nb_cat[:, v][nb_cat[:, v] >= 0]
+            if votes.size:
+                counts = np.bincount(votes, minlength=len(schema.categorical_levels[v]))
+                cat[v] = int(np.argmax(counts))
+            else:
+                used["mode" if model.column_mode[v] >= 0 else "level0"] += 1
+                cat[v] = max(model.column_mode[v], 0)
+        result[i] = dataclasses.replace(
+            deals[i],
+            numeric=tuple(float(x) for x in num),
+            categorical=tuple(schema.categorical_levels[v][int(c)] for v, c in enumerate(cat)),
+        )
+    return result, used
+
+
+def sparse_universe(seed, n_ref=60, n_query=200):
+    """References whose columns are observed at very different rates (one
+    numeric and one categorical column never), so every fallback occurs, and
+    values spread over nine decades, so summation order shows in the means."""
+    schema = DatasetSchema(
+        numeric_names=tuple(f"x{j}" for j in range(4)),
+        categorical_names=("c0", "c1", "c2"),
+        categorical_levels=(("a", "b", "c"), ("a", "b", "c"), ("a", "b")),
+        sentiment_length=0,
+    )
+    rng = np.random.default_rng(seed)
+    num_rate = np.array([0.95, 0.12, 0.8, 0.0])
+    cat_rate = np.array([0.9, 0.08, 0.0])
+
+    def rows(n, num_rate, cat_rate, prefix):
+        values = rng.normal(size=(n, 4)) * 10.0 ** rng.uniform(-3, 6, size=(n, 4))
+        num_seen = rng.random((n, 4)) < num_rate
+        num_seen[:, 0] = True  # every row shares column 0 with most references
+        cat_seen = rng.random((n, 3)) < cat_rate
+        codes = rng.integers(0, 2, size=(n, 3))
+        return [
+            DealRecord(
+                f"{prefix}{i}", dt.date(2015, 1, 1),
+                tuple(float(x) if seen else None for x, seen in zip(values[i], num_seen[i])),
+                tuple(schema.categorical_levels[v][c] if seen else None
+                      for v, (c, seen) in enumerate(zip(codes[i], cat_seen[i]))),
+                None, 0,
+            )
+            for i in range(n)
+        ]
+
+    refs = rows(n_ref, num_rate, cat_rate, "r")
+    queries = rows(n_query, 0.5, 0.5, "q")
+    return refs, queries, schema
+
+
+def bits(deals):
+    return np.array([d.numeric for d in deals], dtype=np.float64).view(np.int64)
+
+
+class TestArrayFill:
+    @pytest.mark.parametrize("k", [1, 5, 9, 16])
+    def test_matches_per_cell_loop(self, k):
+        refs, queries, schema = sparse_universe(seed=k)
+        model = fit_imputer(refs, schema, k=k)
+        expected, used = impute_loops(model, queries)
+        got = impute(model, queries)
+        assert got == expected
+        assert np.array_equal(bits(got), bits(expected))
+        assert all(type(x) is float for d in got for x in d.numeric)
+        # the column-mean, zero, mode and first-level fallbacks all ran, and
+        # for k >= 8 some means summed pairwise
+        assert (used.pop("pairwise") > 0) == (k >= 8)
+        assert min(used.values()) > 0, used
+
+    def test_reference_terms_prepared_once_per_model(self, monkeypatch):
+        calls = []
+        real = kernels.prepare_reference
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(kernels, "prepare_reference", counted)
+        refs, queries, schema = sparse_universe(seed=3)
+        model = fit_imputer(refs, schema, k=5)
+        first = impute(model, queries[:10])
+        second = impute(model, queries[:10])
+        assert len(calls) == 1
+        assert first == second
+        # any constructor gets the terms: replace() builds a new model
+        assert dataclasses.replace(model, k=3).reference_terms is not None
+        assert len(calls) == 2
+
+
+finite_value = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+num_cell = st.one_of(st.none(), finite_value)
+cat_cell = st.one_of(st.none(), st.sampled_from(("a", "b", "c")))
+
+
+@st.composite
+def impute_case(draw):
+    schema = DatasetSchema(
+        numeric_names=("x0", "x1", "x2"),
+        categorical_names=("c0", "c1"),
+        categorical_levels=(("a", "b", "c"), ("a", "b", "c")),
+        sentiment_length=0,
+    )
+
+    def deal(i, prefix):
+        # column 0 always observed, so every query shares it with every reference
+        numeric = (draw(finite_value), draw(num_cell), draw(num_cell))
+        categorical = (draw(cat_cell), draw(cat_cell))
+        return DealRecord(f"{prefix}{i}", dt.date(2015, 1, 1), numeric, categorical, None, 0)
+
+    refs = [deal(i, "r") for i in range(draw(st.integers(1, 12)))]
+    queries = [deal(i, "q") for i in range(draw(st.integers(1, 8)))]
+    k = draw(st.integers(1, len(refs)))
+    return refs, queries, schema, k
+
+
+@settings(max_examples=60, deadline=None)
+@given(impute_case())
+def test_imputation_never_changes_observed_cells(case):
+    refs, queries, schema, k = case
+    out = impute(fit_imputer(refs, schema, k=k), queries)
+    assert len(out) == len(queries)
+    for before, after in zip(queries, out):
+        assert after.deal_id == before.deal_id and after.label == before.label
+        for b, a in zip(before.numeric + before.categorical, after.numeric + after.categorical):
+            assert a is not None
+            if b is not None:
+                assert a == b

@@ -24,6 +24,26 @@ class TestMaskedSqdist:
             assert (np.isfinite(vec) == finite).all()
             assert np.allclose(vec[finite], ref[finite], atol=1e-10)
 
+    def test_prepared_reference_is_bit_identical(self):
+        for seed in range(4):
+            qv, qm, rv, rm, w, cols = random_masked_problem(seed, nq=40, nr=25)
+            rm[:, 2] = False  # a column no reference observes
+            rm[3] = False  # a reference sharing nothing: an +inf column of d2
+            qm[5] = False  # a query sharing nothing: an +inf row
+            qm[6, :] = False
+            qm[6, 2] = True  # observed only where no reference is
+            expected = kernels.masked_sqdist(qv, qm, rv, rm, w, cols)
+            reference = kernels.prepare_reference(rv, rm, w)
+            got = kernels.masked_sqdist(qv, qm, rv, rm, w, cols, reference=reference)
+            assert np.array_equal(got, expected)
+            assert np.isinf(got[5]).all() and np.isinf(got[6]).all()
+            assert np.isinf(got[:, 3]).all()
+            # the prepared terms, not rv, carry the reference values
+            again = kernels.masked_sqdist(
+                qv, qm, np.zeros_like(rv), rm, w, cols, reference=reference
+            )
+            assert np.array_equal(again, expected)
+
     def test_chunking_invariant(self):
         qv, qm, rv, rm, w, cols = random_masked_problem(42, nq=30)
         fine = kernels.masked_sqdist_numpy(qv, qm, rv, rm, w, cols, block=7)

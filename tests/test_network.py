@@ -17,7 +17,7 @@ from mergepipe.neural import (
     lstm_step,
     train,
 )
-from mergepipe.neural.network import SELU_ALPHA, SELU_LAMBDA, activation
+from mergepipe.neural.network import SELU_ALPHA, SELU_LAMBDA, AdamState, activation
 
 
 def rel_error(a, b):
@@ -280,6 +280,56 @@ class TestTraining:
         params, trace = train(model, (X[:40], y[:40]), (X[40:], y[40:]), config)
         assert len(trace) < 500
         assert np.isfinite(params.values).all()
+
+
+class TestTrainingBuffers:
+    """train reuses one gradient store and updates Adam in place; both must
+    give the results of fresh arrays bit for bit."""
+
+    def test_adam_in_place_matches_formula(self):
+        rng = np.random.default_rng(13)
+        config = TrainConfig(learning_rate=3e-3)
+        values = rng.normal(size=50)
+        expected = values.copy()
+        m, v = np.zeros(50), np.zeros(50)
+        adam = AdamState.like(values)
+        for step in range(1, 8):
+            grads = rng.normal(size=50) * 10.0 ** rng.uniform(-6, 3, size=50)
+            adam.update(values, grads, config)
+            m = config.beta1 * m + (1.0 - config.beta1) * grads
+            v = config.beta2 * v + (1.0 - config.beta2) * grads * grads
+            m_hat = m / (1.0 - config.beta1**step)
+            v_hat = v / (1.0 - config.beta2**step)
+            expected -= config.learning_rate * m_hat / (np.sqrt(v_hat) + config.adam_eps)
+            assert np.array_equal(values, expected)
+            assert np.array_equal(adam.m, m) and np.array_equal(adam.v, v)
+
+    def test_backward_into_a_used_store(self):
+        joint = JointNet(
+            tab_layers=(LayerSpec("dense", 3, "selu"),), lstm_width=2,
+            head_layers=(LayerSpec("dense", 4, "elu"),), loss=LossKind.cross_entropy(),
+            tab_dim=4, seq_len=5,
+        )
+        rng = np.random.default_rng(14)
+        params = joint.init_params(rng)
+        tab, seq = rng.normal(size=(6, 4)), rng.normal(size=(6, 5))
+        target = (rng.random(6) < 0.5).astype(float)
+        _, fresh = joint.loss_and_grad(params, tab, seq, target=target)
+        store = joint.zero_grads()
+        store.values[:] = rng.normal(size=store.values.shape)
+        _, reused = joint.loss_and_grad(params, tab, seq, target=target, grads=store)
+        assert reused is store
+        assert np.array_equal(reused.values, fresh.values)
+        assert joint.zero_grads() is not joint.zero_grads()
+        assert not joint.zero_grads().values.any()
+
+    def test_views_alias_values(self):
+        params = DenseNet(dense_spec([3]), input_dim=2).zero_grads()
+        params.values[:] = np.arange(params.values.size)
+        assert params.view("dense0.b").tolist() == [6.0, 7.0, 8.0]
+        params.view("head.b")[:] = -1.0
+        assert params.values[-1] == -1.0
+        assert params.copy().view("head.b") is not params.view("head.b")
 
 
 def test_parameter_layouts_are_pinned():

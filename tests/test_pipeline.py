@@ -303,6 +303,60 @@ class TestInSampleReuse:
         self.assert_same_report(in_rep, fitted.evaluate_on(train))
         assert set(fitted.to_json()) == self.TO_JSON_KEYS
 
+    @pytest.mark.parametrize("framework", ["f2", "f3"])
+    def test_sequence_frameworks_reuse_fit_time_inputs(self, monkeypatch, framework):
+        train, test, schema = universe(seed=16, n=240, sentiment_length=12)
+        config = FrameworkConfig(
+            framework=framework,
+            network=small_net((6, 4)),
+            pca_dims=4,
+            mca_dims=3,
+            embedding_dim=2,
+            autoencoder_epochs=2,
+            lstm_width=3,
+            train=fast_train(epochs=3),
+            seed=8,
+        )
+        sentiment_calls = []
+        encode_calls = []
+        real_sentiment, real_encode = pipeline.sentiment_matrix, pipeline.autoencoder_encode
+
+        def counted_sentiment(deals, schema):
+            sentiment_calls.append(len(deals))
+            return real_sentiment(deals, schema)
+
+        def counted_encode(fitted, sequences):
+            encode_calls.append(len(sequences))
+            return real_encode(fitted, sequences)
+
+        monkeypatch.setattr(pipeline, "sentiment_matrix", counted_sentiment)
+        monkeypatch.setattr(pipeline, "autoencoder_encode", counted_encode)
+        fitted, in_rep, _ = pipeline.run_config(train, test, schema, config)
+        # one conversion (and, for f2, one encoding) of the training rows at
+        # fit time, one of the test rows; none for the in-sample report
+        assert sentiment_calls == [len(train), len(test)]
+        assert encode_calls == ([len(train), len(test)] if framework == "f2" else [])
+        self.assert_same_report(in_rep, fitted.evaluate_on(train))
+
+    def test_network_built_once(self, monkeypatch):
+        train, test, schema = universe(seed=17, n=300)
+        config = preset(
+            "f1/smote-nn-f1", seed=1, pca_dims=6, mca_dims=4, train=fast_train(epochs=3)
+        )
+        built = []
+        real = pipeline.DenseNet
+
+        def counted(*args, **kwargs):
+            built.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "DenseNet", counted)
+        fitted, _, _ = run_framework1(train, test, schema, config)
+        fitted.scores(test[:1])
+        fitted.evaluate_on(test)
+        assert len(built) == 1
+        assert fitted._model() is fitted._model()
+
     def test_weighted_logit(self, monkeypatch):
         train, test, schema = universe(seed=15, n=400)
         config = logit_config(seed=2, train=fast_train(epochs=10, lr=0.02), pca_dims=6, mca_dims=4)
