@@ -7,9 +7,7 @@ prepared on every call and once, as ``ImputerModel`` holds them.  LSTM: the
 two cells the seq-small workload runs at T=121, batch 64 -- the f3
 classifier's tanh cell with hidden 8 and the f2 autoencoder's sigmoid cell
 with hidden 5 -- each timed forward alone and as a forward+backward round
-trip.  The numpy rows are
-the path every run takes with MERGEPIPE_NUMBA=0 or without numba; numba rows
-appear only when numba is installed.
+trip.
 
 Run: python benchmarks/bench_kernels.py [--refs 3000] [--seq 121] [--batch 64] [--repeat 5]
 """
@@ -44,7 +42,7 @@ def bench_masked_sqdist(n_refs, n_cols, repeat):
     qm = rng.random(qv.shape) > 0.2
     inv_scale = 1.0 / (0.5 + rng.random(n_cols))
 
-    t_np = timeit(lambda: kernels.masked_sqdist_numpy(qv, qm, rv, rm, inv_scale, n_cols), repeat)
+    t_np = timeit(lambda: kernels.masked_sqdist(qv, qm, rv, rm, inv_scale, n_cols), repeat)
     return [("numpy (gram trick)", t_np)]
 
 
@@ -84,22 +82,15 @@ def bench_lstm(seq_len, batch, hidden, sigmoid_candidate, repeat):
     h0 = np.zeros((batch, hidden))
     dh_all = rng.normal(size=(seq_len, batch, hidden))
 
-    def forward(fwd):
-        return fwd(x, wx, wh, b, h0, h0.copy(), sigmoid_candidate)
+    def forward():
+        return kernels.lstm_forward(x, wx, wh, b, h0, h0.copy(), sigmoid_candidate)
 
-    def round_trip(fwd, bwd):
-        hs, cs, cache = forward(fwd)
-        bwd(x, wx, wh, hs, cs, cache, dh_all, sigmoid_candidate)
+    def round_trip():
+        hs, cs, cache = forward()
+        kernels.lstm_backward(x, wx, wh, hs, cs, cache, dh_all, sigmoid_candidate)
 
-    builds = [("numpy", kernels.lstm_forward_numpy, kernels.lstm_backward_numpy)]
-    if kernels.lstm_forward_numba is not None:
-        builds.append(("numba", kernels.lstm_forward_numba, kernels.lstm_backward_numba))
-    rows = []
-    for name, fwd, bwd in builds:
-        round_trip(fwd, bwd)  # warm up (and compile the numba build)
-        rows.append((f"{name} forward", timeit(lambda: forward(fwd), repeat)))
-        rows.append((f"{name} forward+backward", timeit(lambda: round_trip(fwd, bwd), repeat)))
-    return rows
+    round_trip()  # warm up
+    return [("forward", timeit(forward, repeat)), ("forward+backward", timeit(round_trip, repeat))]
 
 
 def show(title, rows, steps=None):
@@ -118,8 +109,6 @@ def main():
     parser.add_argument("--repeat", type=int, default=5)
     args = parser.parse_args()
 
-    print(f"numba available: {kernels.NUMBA_AVAILABLE}; active path: "
-          f"{'numba' if kernels.NUMBA_ENABLED else 'numpy'}")
     show(
         f"masked pairwise sqdist ({args.refs // 2}x{args.refs}, {args.cols} cols)",
         bench_masked_sqdist(args.refs, args.cols, args.repeat),

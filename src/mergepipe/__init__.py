@@ -38,10 +38,8 @@ from .neural import (
     TrainConfig,
     autoencoder_encode,
     autoencoder_fit,
-    forward,
     loss_eval,
     loss_grad,
-    lstm_step,
     train,
 )
 from .pipeline import (
@@ -97,14 +95,12 @@ __all__ = [
     "fit_imputer",
     "fit_logit",
     "fit_pipeline",
-    "forward",
     "generate_synthetic",
     "hyper_search",
     "impute",
     "load_deals_csv",
     "loss_eval",
     "loss_grad",
-    "lstm_step",
     "mca_fit",
     "mca_transform",
     "one_hot_encode",

@@ -101,8 +101,8 @@ def fit_imputer(train, schema: DatasetSchema, k: int = 5) -> ImputerModel:
     )
 
 
-# query rows per distance block; equal to the kernel's own row block, so
-# each block's distances are computed exactly as in one whole-matrix call
+# query rows per distance call; the one bound on the distance temporaries,
+# O(512 x n_ref), since the kernel computes whatever rows it is given at once
 SEARCH_BLOCK = 512
 
 

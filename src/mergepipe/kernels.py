@@ -2,50 +2,26 @@
 
 Two inner loops dominate pipeline runtime: masked pairwise distances for
 neighbour imputation, and LSTM forward/backward sweeps over 121-step
-sequences.  The masked distance has one build, the BLAS-backed gram-trick
-formulation in numpy: a compiled loop lost to it at every realistic shape.
-Its reference-side terms (float mask, scaled zero-filled values and their
-square) depend only on the references, so ``prepare_reference`` builds them
-once and a caller that scores many query sets, like the imputer, passes
-them in; that costs about 3 x n_ref x D extra floats.
-``_masked_sqdist_loops`` stays as the plain-loop reference the tests
-compare it against.  The LSTM sweep keeps only the recurrence in its time
-loop: forward hoists the input projection into one GEMM and caches the gate
-activations, backward reads that cache and takes the weight gradients as
-single GEMMs after the loop (see the section comment below).  It has a
-pure-numpy build and, when numba is installed, an ``@njit`` build of the
-same code, both importable (``*_numpy`` / ``*_numba``) for parity tests and
-``benchmarks/bench_kernels.py``.  The numba build is the default when
-available, though it has not been timed against the current numpy build.
-Set ``MERGEPIPE_NUMBA=0`` to force pure numpy everywhere (the guaranteed
-fallback path).
+sequences.  Each kernel has one numpy build.  The masked distance is the
+BLAS-backed gram-trick formulation, computed in one pass over the query rows
+it is given; the caller bounds their number.  Its reference-side terms
+(float mask, scaled zero-filled values and their square) depend only on the
+references, so ``prepare_reference`` builds them once and a caller that
+scores many query sets, like the imputer, passes them in; that costs about
+3 x n_ref x D extra floats.  ``_masked_sqdist_loops`` stays as the
+plain-loop reference the tests compare it against.  The LSTM sweep keeps
+only the recurrence in its time loop: forward hoists the input projection
+into one GEMM and caches the gate activations, backward reads that cache
+and takes the weight gradients as single GEMMs after the loop (see the
+section comment below).
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-
-def numba_requested(env_value: str | None) -> bool:
-    """Interpret the MERGEPIPE_NUMBA env value (unset/empty means on)."""
-    if env_value is None:
-        return True
-    return env_value.strip().lower() not in ("0", "false", "no", "off")
-
-
-_WANT_NUMBA = numba_requested(os.environ.get("MERGEPIPE_NUMBA"))
-NUMBA_AVAILABLE = False
-if _WANT_NUMBA:
-    try:
-        from numba import njit as _njit
-
-        NUMBA_AVAILABLE = True
-    except ImportError:
-        NUMBA_AVAILABLE = False
-
-NUMBA_ENABLED = _WANT_NUMBA and NUMBA_AVAILABLE
+# no compiled build exists; kept for the benchmark's provenance block
+NUMBA_AVAILABLE = NUMBA_ENABLED = False
 
 
 # -- masked pairwise squared distance ---------------------------------------
@@ -77,14 +53,14 @@ def _masked_sqdist_loops(qv, qm, rv, rm, inv_scale, total_cols):
 
 
 def prepare_reference(rv, rm, inv_scale):
-    """Reference-side terms of ``masked_sqdist_numpy``: (mask as float, scaled
+    """Reference-side terms of ``masked_sqdist``: (mask as float, scaled
     zero-filled values, their square), each (n_ref, D)."""
     ar = np.where(rm, rv * inv_scale, 0.0)
     return rm.astype(np.float64), ar, ar * ar
 
 
-def masked_sqdist_numpy(qv, qm, rv, rm, inv_scale, total_cols, block=512, reference=None):
-    """Vectorized build: d2 = A2q.Mr' - 2 Aq.Ar' + Mq.A2r', chunked over rows.
+def masked_sqdist(qv, qm, rv, rm, inv_scale, total_cols, reference=None):
+    """Gram-trick build: d2 = A2q.Mr' - 2 Aq.Ar' + Mq.A2r'.
 
     ``reference`` is ``prepare_reference(rv, rm, inv_scale)`` computed once
     by a caller that scores many query sets against the same references;
@@ -93,19 +69,16 @@ def masked_sqdist_numpy(qv, qm, rv, rm, inv_scale, total_cols, block=512, refere
     mr, ar, a2r = prepare_reference(rv, rm, inv_scale) if reference is None else reference
     mq = qm.astype(np.float64)
     aq = np.where(qm, qv * inv_scale, 0.0)
-    out = np.empty((qv.shape[0], rv.shape[0]), dtype=np.float64)
-    for start in range(0, qv.shape[0], block):
-        stop = min(start + block, qv.shape[0])
-        aqb = aq[start:stop]
-        mqb = mq[start:stop]
-        d2 = (aqb * aqb) @ mr.T - 2.0 * (aqb @ ar.T) + mqb @ a2r.T
-        np.maximum(d2, 0.0, out=d2)
-        shared = mqb @ mr.T
-        with np.errstate(divide="ignore", invalid="ignore"):
-            d2 = d2 * (total_cols / shared)
-        d2[shared == 0.0] = np.inf
-        out[start:stop] = d2
-    return out
+    d2 = (aq * aq) @ mr.T - 2.0 * (aq @ ar.T) + mq @ a2r.T
+    np.maximum(d2, 0.0, out=d2)
+    shared = mq @ mr.T
+    with np.errstate(divide="ignore", invalid="ignore"):
+        d2 = d2 * (total_cols / shared)
+    d2[shared == 0.0] = np.inf
+    return d2
+
+
+masked_sqdist_numpy = masked_sqdist  # older name, still read by perfbench
 
 
 # -- LSTM sequence forward / backward ----------------------------------------
@@ -131,7 +104,7 @@ def masked_sqdist_numpy(qv, qm, rv, rm, inv_scale, total_cols, block=512, refere
 # returned as (T+1, B, H) views; the cache only means something to backward.
 
 
-def _lstm_forward_impl(x, wx, wh, b, h0, c0, sigmoid_candidate):
+def lstm_forward(x, wx, wh, b, h0, c0, sigmoid_candidate):
     seq_len, batch, in_dim = x.shape
     hidden = wh.shape[0]
     # act(z) = s * tanh(s * z) + (1 - s): s = 1/2 on sigmoid rows, 1 on a tanh
@@ -173,7 +146,7 @@ def _lstm_forward_impl(x, wx, wh, b, h0, c0, sigmoid_candidate):
     return hs.transpose(0, 2, 1), cs.transpose(0, 2, 1), gates
 
 
-def _lstm_backward_impl(x, wx, wh, hs, cs, gates, dh_all, sigmoid_candidate):
+def lstm_backward(x, wx, wh, hs, cs, gates, dh_all, sigmoid_candidate):
     seq_len, batch, in_dim = x.shape
     hidden = wh.shape[0]
     rows = seq_len * batch
@@ -212,39 +185,20 @@ def _lstm_backward_impl(x, wx, wh, hs, cs, gates, dh_all, sigmoid_candidate):
     dh_in = np.ascontiguousarray(dh_all.transpose(0, 2, 1))
     dh = np.zeros((hidden, batch), dtype=np.float64)
     dc = np.zeros((hidden, batch), dtype=np.float64)
+    # per-gate view of the contiguous dz: the input, forget and candidate
+    # slots of a step scale by dc_t in one broadcast call
+    dz4 = dz.reshape(4, hidden, seq_len, batch)
     for t in range(seq_len - 1, -1, -1):
         dh += dh_in[t]
         dct = dh * dc_from_h[t]
         dct += dc
-        d = dz[:, t]
-        d[:hidden] *= dct
-        d[hidden : 2 * hidden] *= dct
-        d[2 * hidden : 3 * hidden] *= dct
-        d[3 * hidden :] *= dh
+        dz4[:3, :, t] *= dct
+        dz4[3, :, t] *= dh
         dc = dct * f_g[:, t]
-        dh = np.dot(wh, d)
+        dh = np.dot(wh, dz[:, t])
     dz = dz.reshape(4 * hidden, rows)
     h_in = np.ascontiguousarray(hs[:-1].transpose(1, 0, 2)).reshape(hidden, rows)
     dwx = np.dot(dz, x.reshape(rows, in_dim)).T
     dwh = np.dot(dz, h_in.T).T
     db = dz.sum(axis=1)
     return dwx, dwh, db, dh.T, dc.T
-
-
-lstm_forward_numpy = _lstm_forward_impl
-lstm_backward_numpy = _lstm_backward_impl
-
-if NUMBA_AVAILABLE:
-    lstm_forward_numba = _njit(cache=True)(_lstm_forward_impl)
-    lstm_backward_numba = _njit(cache=True)(_lstm_backward_impl)
-else:
-    lstm_forward_numba = None
-    lstm_backward_numba = None
-
-masked_sqdist = masked_sqdist_numpy
-if NUMBA_ENABLED:
-    lstm_forward = lstm_forward_numba
-    lstm_backward = lstm_backward_numba
-else:
-    lstm_forward = lstm_forward_numpy
-    lstm_backward = lstm_backward_numpy

@@ -171,11 +171,11 @@ class EvalReport:
         )
 
 
-def evaluate(labels, scores, threshold: float = 0.5, pr_interpolation: str = "step") -> EvalReport:
+def evaluate(labels, scores, threshold: float = 0.5) -> EvalReport:
     cm = confusion_at(labels, scores, threshold)
     scalars = scalar_metrics(cm)
     roc_points, auroc = roc_curve(labels, scores)
-    pr_points, aupr = pr_curve(labels, scores, interpolation=pr_interpolation)
+    pr_points, aupr = pr_curve(labels, scores)
     return EvalReport(
         threshold=threshold,
         confusion=cm,

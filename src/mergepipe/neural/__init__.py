@@ -7,8 +7,6 @@ from .network import (
     NetworkSpec,
     SeqNet,
     TrainConfig,
-    forward,
-    lstm_step,
     train,
 )
 from .autoencoder import (
@@ -31,9 +29,7 @@ __all__ = [
     "TrainConfig",
     "autoencoder_encode",
     "autoencoder_fit",
-    "forward",
     "loss_eval",
     "loss_grad",
-    "lstm_step",
     "train",
 ]

@@ -459,29 +459,6 @@ class JointNet(DenseNet):
         )
 
 
-def forward(spec: NetworkSpec, params: NetworkParams, x) -> np.ndarray:
-    """Deterministic forward pass to probabilities in (0, 1)."""
-    x = np.asarray(x, dtype=np.float64)
-    model = SeqNet if spec.layers and spec.layers[0].kind == "lstm" else DenseNet
-    q, _ = model(spec, x.shape[1]).forward(params, x)
-    return q
-
-
-def lstm_step(cell_params: dict, x_t: np.ndarray, state):
-    """One standard LSTM step (sigmoid gates, tanh candidate/output)."""
-    h, c = state
-    x_t = np.atleast_2d(np.asarray(x_t, dtype=np.float64))
-    h = np.atleast_2d(np.asarray(h, dtype=np.float64))
-    c = np.atleast_2d(np.asarray(c, dtype=np.float64))
-    wx, wh, b = cell_params["wx"], cell_params["wh"], cell_params["b"]
-    hidden = wh.shape[0]
-    if x_t.shape[1] != wx.shape[0] or h.shape[1] != hidden or c.shape[1] != hidden:
-        raise ShapeMismatch("lstm_step input widths do not match the cell")
-    xs = np.ascontiguousarray(x_t[None, :, :])
-    hs, cs, _ = kernels.lstm_forward(xs, wx, wh, b, h, c, False)
-    return hs[1], cs[1]
-
-
 @dataclass
 class AdamState:
     m: np.ndarray

@@ -462,6 +462,8 @@ def _enumerate_grid(space: dict):
 
 
 def _sample_overrides(space: dict, budget: int, seed: int, strategy: str):
+    if strategy not in ("grid", "random"):
+        raise BadConfig(f"unknown search strategy {strategy!r}")
     keys = sorted(space)
     if not keys or any(len(space[k]) == 0 for k in keys):
         raise EmptySpace("every space entry needs at least one candidate")
@@ -469,10 +471,7 @@ def _sample_overrides(space: dict, budget: int, seed: int, strategy: str):
     for k in keys:
         total *= len(space[k])
     if strategy == "grid" or budget >= total:
-        picks = list(_enumerate_grid(space))[:budget]
-        return picks
-    if strategy != "random":
-        raise BadConfig(f"unknown search strategy {strategy!r}")
+        return list(_enumerate_grid(space))[:budget]
     rng = np.random.default_rng(seed)
     seen = set()
     picks = []
@@ -532,17 +531,22 @@ def hyper_search(
             objective_value=_objective_value(fitted.valid_report, objective),
         ), fitted
 
-    jobs = list(enumerate(overrides))
-    workers = int(os.environ.get("MERGEPIPE_THREADS", "1") or "1")
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(run_trial, jobs))
-    else:
-        outcomes = [run_trial(job) for job in jobs]
+    def rank(trial):
+        return -trial.objective_value, trial.trial
 
-    ranked = sorted(outcomes, key=lambda pair: (-pair[0].objective_value, pair[0].trial))
-    results = [trial for trial, _ in ranked]
-    if results and test_deals is not None:
-        winner, fitted = ranked[0]
+    # outcomes are consumed as they arrive: every TrialResult is kept, but
+    # only the best (trial, fitted pipeline) so far
+    results = []
+    best = None
+    workers = int(os.environ.get("MERGEPIPE_THREADS", "1") or "1")
+    with ThreadPoolExecutor(max_workers=max(workers, 1)) as pool:
+        run = pool.map if workers > 1 else map
+        for trial, fitted in run(run_trial, enumerate(overrides)):
+            results.append(trial)
+            if best is None or rank(trial) < rank(best[0]):
+                best = trial, fitted
+    results.sort(key=rank)
+    if test_deals is not None:
+        winner, fitted = best
         winner.test_report = fitted.evaluate_on(test_deals)
     return results

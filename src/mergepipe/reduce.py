@@ -131,11 +131,6 @@ class McaModel:
     total_inertia: float
     level_offsets: dict | None = None
 
-    @property
-    def principal_coordinates(self) -> np.ndarray:
-        """Column principal coordinates: axes scaled by singular values."""
-        return self.column_axes * np.sqrt(self.principal_inertias)
-
     def to_json(self) -> dict:
         return {
             "format_version": 1,

@@ -210,3 +210,13 @@ class TestSearch:
              "--budget", "2", "--out-dir", str(tmp_path / "s")]
         )
         assert code == 2
+
+    def test_unknown_strategy_exit_2(self, deals_csv, tmp_path):
+        space = tmp_path / "space.json"
+        write_json(space, {"base": RUN_CONFIG, "space": {"train.learning_rate": [0.02, 0.005]},
+                           "strategy": "bogus"})
+        code = main(
+            ["search", "--data", str(deals_csv), "--space", str(space),
+             "--budget", "2", "--out-dir", str(tmp_path / "s")]
+        )
+        assert code == 2

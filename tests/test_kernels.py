@@ -18,7 +18,7 @@ class TestMaskedSqdist:
     def test_numpy_matches_loop_reference(self):
         for seed in range(6):
             qv, qm, rv, rm, w, cols = random_masked_problem(seed)
-            vec = kernels.masked_sqdist_numpy(qv, qm, rv, rm, w, cols)
+            vec = kernels.masked_sqdist(qv, qm, rv, rm, w, cols)
             ref = kernels._masked_sqdist_loops(qv, qm, rv, rm, w, cols)
             finite = np.isfinite(ref)
             assert (np.isfinite(vec) == finite).all()
@@ -43,12 +43,6 @@ class TestMaskedSqdist:
                 qv, qm, np.zeros_like(rv), rm, w, cols, reference=reference
             )
             assert np.array_equal(again, expected)
-
-    def test_chunking_invariant(self):
-        qv, qm, rv, rm, w, cols = random_masked_problem(42, nq=30)
-        fine = kernels.masked_sqdist_numpy(qv, qm, rv, rm, w, cols, block=7)
-        coarse = kernels.masked_sqdist_numpy(qv, qm, rv, rm, w, cols, block=1000)
-        assert np.array_equal(fine, coarse)
 
 
 def random_lstm_problem(seed, seq=9, batch=4, in_dim=2, hidden=5):
@@ -114,7 +108,7 @@ def _lstm_loops(x, wx, wh, b, h0, c0, dh_all, sigmoid_candidate):
 
 
 class TestLstmNumpy:
-    """The numpy LSTM kernels against the per-step reference and finite
+    """The LSTM kernels against the per-step reference and finite
     differences, called positionally as the benchmark calls them."""
 
     @pytest.mark.parametrize("sigmoid_candidate", [False, True])
@@ -123,8 +117,8 @@ class TestLstmNumpy:
     def test_matches_loop_reference(self, seq, in_dim, sigmoid_candidate):
         x, wx, wh, b, h0, c0, dh_all = random_lstm_problem(seq + in_dim, seq=seq, in_dim=in_dim)
         ref = _lstm_loops(x, wx, wh, b, h0, c0, dh_all, sigmoid_candidate)
-        hs, cs, cache = kernels.lstm_forward_numpy(x, wx, wh, b, h0, c0, sigmoid_candidate)
-        grads = kernels.lstm_backward_numpy(x, wx, wh, hs, cs, cache, dh_all, sigmoid_candidate)
+        hs, cs, cache = kernels.lstm_forward(x, wx, wh, b, h0, c0, sigmoid_candidate)
+        grads = kernels.lstm_backward(x, wx, wh, hs, cs, cache, dh_all, sigmoid_candidate)
         assert len(grads) == 5  # dwx, dwh, db, dh0, dc0: no input gradient
         for got, want in zip((hs, cs) + tuple(grads), ref):
             assert got.shape == want.shape
@@ -153,42 +147,3 @@ class TestLstmNumpy:
                 array[idx] = keep
                 numeric[idx] = (up - down) / (2 * eps)
             assert np.allclose(grad, numeric, rtol=1e-6, atol=1e-8)
-
-
-@pytest.mark.skipif(not kernels.NUMBA_AVAILABLE, reason="numba not installed")
-class TestLstmParity:
-    @pytest.mark.parametrize("sigmoid_candidate", [False, True])
-    def test_forward_backward_match(self, sigmoid_candidate):
-        x, wx, wh, b, h0, c0, dh_all = random_lstm_problem(3)
-        out_np = kernels.lstm_forward_numpy(x, wx, wh, b, h0, c0, sigmoid_candidate)
-        out_nb = kernels.lstm_forward_numba(x, wx, wh, b, h0, c0, sigmoid_candidate)
-        for a, c in zip(out_np, out_nb):
-            assert np.allclose(a, c, atol=1e-13)
-        hs, cs, gates = out_np
-        dwx, dwh, db, dh0, dc0 = kernels.lstm_backward_numpy(
-            x, wx, wh, hs, cs, gates, dh_all, sigmoid_candidate
-        )
-        g_nb = kernels.lstm_backward_numba(x, wx, wh, hs, cs, gates, dh_all, sigmoid_candidate)
-        for a, c in zip((dwx, dwh, db, dh0, dc0), g_nb):
-            assert np.allclose(a, c, atol=1e-13)
-
-
-class TestSelection:
-    def test_env_flag_parsing(self):
-        assert kernels.numba_requested(None)
-        assert kernels.numba_requested("1")
-        assert kernels.numba_requested("")
-        assert not kernels.numba_requested("0")
-        assert not kernels.numba_requested("false")
-        assert not kernels.numba_requested("OFF")
-
-    def test_active_path_consistent(self):
-        # masked distances always ride the BLAS formulation; the LSTM sweep
-        # takes the compiled build when the flag allows it
-        assert kernels.masked_sqdist is kernels.masked_sqdist_numpy
-        if kernels.NUMBA_ENABLED:
-            assert kernels.lstm_forward is kernels.lstm_forward_numba
-            assert kernels.lstm_backward is kernels.lstm_backward_numba
-        else:
-            assert kernels.lstm_forward is kernels.lstm_forward_numpy
-            assert kernels.lstm_backward is kernels.lstm_backward_numpy

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from mergepipe import kernels
 from mergepipe.errors import BadConfig, NonFiniteLoss, ShapeMismatch
 from mergepipe.neural import (
     DenseNet,
@@ -13,8 +14,6 @@ from mergepipe.neural import (
     NetworkSpec,
     SeqNet,
     TrainConfig,
-    forward,
-    lstm_step,
     train,
 )
 from mergepipe.neural.network import SELU_ALPHA, SELU_LAMBDA, AdamState, activation
@@ -67,7 +66,7 @@ class TestForward:
         spec = dense_spec([4])
         model = DenseNet(spec, input_dim=3)
         params = model.zero_grads()  # all-zero parameter vector
-        q = forward(spec, params, np.ones((5, 3)))
+        q, _ = model.forward(params, np.ones((5, 3)))
         assert np.allclose(q, 0.5)
 
     def test_relu_dead_layer_passes_bias(self):
@@ -103,6 +102,12 @@ class TestForward:
             )
 
 
+def single_step(cell, x_t, h, c):
+    """One standard LSTM step (sigmoid gates, tanh candidate): a T=1 sweep."""
+    hs, cs, _ = kernels.lstm_forward(x_t[None], cell["wx"], cell["wh"], cell["b"], h, c, False)
+    return hs[1], cs[1]
+
+
 class TestLstmStep:
     def cell(self, rng, in_dim=2, hidden=3, scale=0.5):
         return {
@@ -117,7 +122,7 @@ class TestLstmStep:
             "wh": np.zeros((3, 12)),
             "b": np.zeros(12),
         }
-        h, c = lstm_step(cell, np.zeros((1, 2)), (np.zeros((1, 3)), np.zeros((1, 3))))
+        h, c = single_step(cell, np.zeros((1, 2)), np.zeros((1, 3)), np.zeros((1, 3)))
         assert np.allclose(h, 0.0) and np.allclose(c, 0.0)
 
     def test_saturated_forget_gate_keeps_cell(self):
@@ -127,7 +132,7 @@ class TestLstmStep:
         c_prev = rng.normal(0, 1, (1, 3))
         x = rng.normal(0, 1, (1, 2))
         h_prev = np.zeros((1, 3))
-        _, c_new = lstm_step(cell, x, (h_prev, c_prev))
+        _, c_new = single_step(cell, x, h_prev, c_prev)
         # c' = c + i*g when f == 1
         z = x @ cell["wx"] + h_prev @ cell["wh"] + cell["b"]
         i_g = 1.0 / (1.0 + np.exp(-z[:, :3]))

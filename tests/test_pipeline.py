@@ -1,4 +1,5 @@
 import dataclasses
+import weakref
 
 import numpy as np
 import pytest
@@ -446,6 +447,36 @@ class TestSearch:
         pooled = hyper_search(train, schema, **kwargs)
         assert [t.trial for t in serial] == [t.trial for t in pooled]
         assert [t.objective_value for t in serial] == [t.objective_value for t in pooled]
+
+    def test_unknown_strategy_rejected_when_budget_covers_grid(self):
+        train, _, schema = universe(seed=14, n=250)
+        with pytest.raises(BadConfig, match="unknown search strategy"):
+            hyper_search(
+                train, schema, self.space(), budget=4, objective="recall", seed=3,
+                base_config=self.base(), strategy="bogus",
+            )
+
+    def test_only_the_best_fitted_pipeline_is_kept(self, monkeypatch):
+        train, test, schema = universe(seed=17, n=250)
+        fit = pipeline.fit_pipeline
+        alive = []
+        live_at_start = []
+
+        def recording_fit(*args, **kwargs):
+            live_at_start.append(sum(ref() is not None for ref in alive))
+            fitted = fit(*args, **kwargs)
+            alive.append(weakref.ref(fitted))
+            return fitted
+
+        monkeypatch.setattr(pipeline, "fit_pipeline", recording_fit)
+        results = hyper_search(
+            train, schema, self.space(), budget=4, objective="recall", seed=6,
+            base_config=self.base(), test_deals=test, strategy="grid",
+        )
+        assert len(live_at_start) == 4
+        assert max(live_at_start) <= 2
+        assert results[0].test_report is not None
+        assert all(t.test_report is None for t in results[1:])
 
     def test_recall_objective_dominates_on_recall(self):
         train, _, schema = universe(seed=16, n=400, signal=1.0)
