@@ -1,25 +1,36 @@
 """Time the hot kernels at the shapes the pipeline runs them.
 
-Masked distance: the numpy gram-trick build, at a bulk shape and at the
-serving shape score-stream runs (1 and 64 query rows against the 4000 x 20
-reference matrix of a fitted f1 model), there with the reference-side terms
-prepared on every call and once, as ``ImputerModel`` holds them.  LSTM: the
-two cells the seq-small workload runs at T=121, batch 64 -- the f3
-classifier's tanh cell with hidden 8 and the f2 autoencoder's sigmoid cell
-with hidden 5 -- each timed forward alone and as a forward+backward round
-trip.
+Masked distance: the numpy gram-trick build at the block shape the
+imputation search runs (``kernels.search_rows(4000)`` query rows against the
+4000 x 20 reference matrix of a fitted f1 model, reference terms prepared
+once) and at the serving shapes score-stream runs (1 and 64 query rows
+against the same references), there with the reference-side terms prepared
+on every call and once, as ``ImputerModel`` holds them.  SMOTE: the
+neighbour table of the 720 minority rows x 40 features an f1 paper-shape fit
+oversamples.  LSTM: the two cells the seq-small workload runs at T=121,
+batch 64 -- the f3 classifier's tanh cell with hidden 8 and the f2
+autoencoder's sigmoid cell with hidden 5 -- each timed forward alone and as a
+forward+backward round trip.
 
-Run: python benchmarks/bench_kernels.py [--refs 3000] [--seq 121] [--batch 64] [--repeat 5]
+BLAS runs on one thread, as in perfbench, fixed before numpy loads.
+
+Run: python benchmarks/bench_kernels.py [--refs 4000] [--cols 20] [--seq 121] [--batch 64] [--repeat 5]
 """
 
 from __future__ import annotations
 
-import argparse
-import time
+import os
 
-import numpy as np
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
 
-from mergepipe import kernels
+import argparse  # noqa: E402
+import time  # noqa: E402
+
+import numpy as np  # noqa: E402
+
+from mergepipe import kernels  # noqa: E402
+from mergepipe.resample import _neighbour_table  # noqa: E402
 
 # (label, hidden, sigmoid_candidate) of the two LSTM cells seq-small runs
 LSTM_CELLS = (("f3 classifier, tanh", 8, False), ("f2 autoencoder, sigmoid", 5, True))
@@ -37,13 +48,16 @@ def timeit(fn, repeat):
 def bench_masked_sqdist(n_refs, n_cols, repeat):
     rng = np.random.default_rng(0)
     rv = rng.normal(size=(n_refs, n_cols))
-    qv = rng.normal(size=(n_refs // 2, n_cols))
+    qv = rng.normal(size=(kernels.search_rows(n_refs), n_cols))
     rm = rng.random(rv.shape) > 0.2
     qm = rng.random(qv.shape) > 0.2
     inv_scale = 1.0 / (0.5 + rng.random(n_cols))
+    prepared = kernels.prepare_reference(rv, rm, inv_scale)
 
-    t_np = timeit(lambda: kernels.masked_sqdist(qv, qm, rv, rm, inv_scale, n_cols), repeat)
-    return [("numpy (gram trick)", t_np)]
+    def block():
+        kernels.masked_sqdist(qv, qm, rv, rm, inv_scale, n_cols, reference=prepared)
+
+    return [("one search block", timeit(block, repeat))]
 
 
 # (query rows, reference rows, columns) of score-stream's 1- and 64-deal requests
@@ -71,6 +85,15 @@ def bench_masked_sqdist_serving(repeat):
         rows.append((f"{label}, prepared per call", timeit(per_call, repeat)))
         rows.append((f"{label}, prepared once", timeit(once, repeat)))
     return rows
+
+
+# (minority rows, features) of the f1 paper-shape fit's SMOTE input
+SMOTE_SHAPE = (720, 40)
+
+
+def bench_smote_table(repeat):
+    minority = np.random.default_rng(3).normal(size=SMOTE_SHAPE)
+    return [("k=5 neighbour table", timeit(lambda: _neighbour_table(minority, 5), repeat))]
 
 
 def bench_lstm(seq_len, batch, hidden, sigmoid_candidate, repeat):
@@ -102,19 +125,21 @@ def show(title, rows, steps=None):
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--refs", type=int, default=3000, help="reference rows for distances")
-    parser.add_argument("--cols", type=int, default=52)
+    parser.add_argument("--refs", type=int, default=4000, help="reference rows for distances")
+    parser.add_argument("--cols", type=int, default=20)
     parser.add_argument("--seq", type=int, default=121, help="sequence length for the LSTM")
     parser.add_argument("--batch", type=int, default=64)
     parser.add_argument("--repeat", type=int, default=5)
     args = parser.parse_args()
 
     show(
-        f"masked pairwise sqdist ({args.refs // 2}x{args.refs}, {args.cols} cols)",
+        f"masked pairwise sqdist ({kernels.search_rows(args.refs)}x{args.refs}, {args.cols} cols)",
         bench_masked_sqdist(args.refs, args.cols, args.repeat),
     )
     show("masked pairwise sqdist, serving shapes (20 cols)",
          bench_masked_sqdist_serving(args.repeat))
+    show(f"smote neighbour table ({SMOTE_SHAPE[0]} rows, {SMOTE_SHAPE[1]} cols)",
+         bench_smote_table(args.repeat))
     for label, hidden, sigmoid_candidate in LSTM_CELLS:
         show(
             f"lstm {label} (T={args.seq}, batch={args.batch}, hidden={hidden})",

@@ -222,10 +222,8 @@ def cmd_run(args) -> int:
     except OSError as exc:
         return _die(1, f"cannot write artifacts: {exc}")
     _write_manifest(out_dir, "run", config.to_json(), config.seed, artifacts, started)
-    print(
-        f"out-of-sample: accuracy={out_rep.accuracy:.3f} recall={out_rep.recall}"
-        f" auroc={out_rep.auroc:.3f}"
-    )
+    auroc = "None" if out_rep.auroc is None else f"{out_rep.auroc:.3f}"
+    print(f"out-of-sample: accuracy={out_rep.accuracy:.3f} recall={out_rep.recall} auroc={auroc}")
     return 0
 
 

@@ -6,14 +6,13 @@ sqrt(D/d) for d of D coordinates observed.  Categorical columns do not
 enter the distance; their missing cells take the majority label among the
 same numeric-space neighbours.
 
-The search runs over fixed-size blocks of query rows: each block's distance
-rows come from ``kernels.masked_sqdist``, ``np.argpartition`` picks the k
-smallest per row, and those k are ordered by (distance, reference index).
-The result is exactly ``np.argsort(d2, kind="stable")[:, :k]``: a row with
-another distance equal to its k-th value outside the picked k (ties,
-including ``+inf`` for references sharing no observed coordinate) is
-stable-sorted whole instead.  Peak memory is O(block x n_ref), not
-O(n_query x n_ref).
+The search walks the query rows in blocks of ``kernels.search_rows(n_ref)``
+rows: each block's distance rows come from ``kernels.masked_sqdist`` and
+``kernels.top_k`` keeps the k nearest, exactly
+``np.argsort(d2, kind="stable")[:, :k]`` (``+inf`` marks references sharing
+no observed coordinate).  One block of distances takes about
+``kernels.SEARCH_BYTES``, so peak memory is O(SEARCH_BYTES), not
+O(n_query x n_ref) or O(block x n_ref).
 
 The reference side of the distance depends on the fitted model alone, so
 ``ImputerModel`` prepares it once, when it is constructed: the observed
@@ -101,35 +100,13 @@ def fit_imputer(train, schema: DatasetSchema, k: int = 5) -> ImputerModel:
     )
 
 
-# query rows per distance call; the one bound on the distance temporaries,
-# O(512 x n_ref), since the kernel computes whatever rows it is given at once
-SEARCH_BLOCK = 512
-
-
-def top_k(d2: np.ndarray, k: int) -> np.ndarray:
-    """First k columns of ``np.argsort(d2, axis=1, kind="stable")``."""
-    if k >= d2.shape[1]:
-        return np.argsort(d2, axis=1, kind="stable")[:, :k]
-    picked = np.argpartition(d2, k - 1, axis=1)[:, :k]
-    dist = np.take_along_axis(d2, picked, axis=1)
-    # sort the picked k by (distance, index); lexsort keys run last-major
-    order = np.lexsort((picked, dist), axis=1)
-    picked = np.take_along_axis(picked, order, axis=1)
-    kth = np.take_along_axis(dist, order[:, -1:], axis=1)
-    # the picked set is the stable one unless a value equal to the k-th lies
-    # outside it (a NaN k-th value counts nothing and also lands here)
-    tied = np.count_nonzero(d2 <= kth, axis=1) != k
-    for row in np.flatnonzero(tied):
-        picked[row] = np.argsort(d2[row], kind="stable")[:k]
-    return picked
-
-
 def _neighbour_indices(model: ImputerModel, query_num: np.ndarray, rows) -> np.ndarray:
     """k nearest reference indices per query row, ties broken by row index."""
     ref = model.reference_numeric
     out = np.empty((query_num.shape[0], min(model.k, ref.shape[0])), dtype=np.int64)
-    for start in range(0, query_num.shape[0], SEARCH_BLOCK):
-        block = query_num[start : start + SEARCH_BLOCK]
+    step = kernels.search_rows(ref.shape[0])
+    for start in range(0, query_num.shape[0], step):
+        block = query_num[start : start + step]
         qm = np.isfinite(block)
         qv = np.where(qm, block, 0.0)
         d2 = kernels.masked_sqdist(
@@ -142,7 +119,7 @@ def _neighbour_indices(model: ImputerModel, query_num: np.ndarray, rows) -> np.n
             raise NoComparableRow(
                 f"deal {bad.deal_id} shares no observed numeric coordinate with any reference"
             )
-        out[start : start + block.shape[0]] = top_k(d2, model.k)
+        out[start : start + block.shape[0]] = kernels.top_k(d2, model.k)
     return out
 
 

@@ -1,19 +1,27 @@
-"""Hot numeric kernels: masked pairwise distances and LSTM sweeps.
+"""Hot numeric kernels: neighbour-search distances and LSTM sweeps.
 
-Two inner loops dominate pipeline runtime: masked pairwise distances for
-neighbour imputation, and LSTM forward/backward sweeps over 121-step
-sequences.  Each kernel has one numpy build.  The masked distance is the
-BLAS-backed gram-trick formulation, computed in one pass over the query rows
-it is given; the caller bounds their number.  Its reference-side terms
-(float mask, scaled zero-filled values and their square) depend only on the
-references, so ``prepare_reference`` builds them once and a caller that
-scores many query sets, like the imputer, passes them in; that costs about
-3 x n_ref x D extra floats.  ``_masked_sqdist_loops`` stays as the
-plain-loop reference the tests compare it against.  The LSTM sweep keeps
-only the recurrence in its time loop: forward hoists the input projection
-into one GEMM and caches the gate activations, backward reads that cache
-and takes the weight gradients as single GEMMs after the loop (see the
-section comment below).
+Two inner loops dominate pipeline runtime: neighbour searches (masked
+pairwise distances for imputation, plain ones for SMOTE) and LSTM
+forward/backward sweeps over 121-step sequences.  Each kernel has one numpy
+build.  The masked distance is the BLAS-backed gram-trick formulation,
+computed in one pass over the query rows it is given into one output and one
+scratch block.  Its reference-side terms (float mask, scaled zero-filled
+values and their square) depend only on the references, so
+``prepare_reference`` builds them once and a caller that scores many query
+sets, like the imputer, passes them in; that costs about 3 x n_ref x D extra
+floats.  ``_masked_sqdist_loops`` stays as the plain-loop reference the
+tests compare it against.
+
+Every neighbour search walks its query rows in blocks of
+``search_rows(n_ref)`` rows, so one block of distances takes about
+``SEARCH_BYTES``, a cache-sized amount, and selects with ``top_k``.  Peak
+memory of a search is O(SEARCH_BYTES) whatever n_query is, and whatever
+n_ref is as long as one distance row fits the budget (n_ref up to 262 144).
+
+The LSTM sweep keeps only the recurrence in its time loop: forward hoists
+the input projection into one GEMM and caches the gate activations,
+backward reads that cache and takes the weight gradients as single GEMMs
+after the loop (see the section comment below).
 """
 
 from __future__ import annotations
@@ -64,21 +72,61 @@ def masked_sqdist(qv, qm, rv, rm, inv_scale, total_cols, reference=None):
 
     ``reference`` is ``prepare_reference(rv, rm, inv_scale)`` computed once
     by a caller that scores many query sets against the same references;
-    without it the terms are derived here on every call.
+    without it the terms are derived here on every call.  The products are
+    accumulated into one output and one scratch block of n_query x n_ref.
     """
     mr, ar, a2r = prepare_reference(rv, rm, inv_scale) if reference is None else reference
     mq = qm.astype(np.float64)
     aq = np.where(qm, qv * inv_scale, 0.0)
-    d2 = (aq * aq) @ mr.T - 2.0 * (aq @ ar.T) + mq @ a2r.T
+    d2 = np.matmul(aq * aq, mr.T)
+    scratch = np.matmul(aq, ar.T)
+    scratch *= 2.0
+    d2 -= scratch
+    d2 += np.matmul(mq, a2r.T, out=scratch)
     np.maximum(d2, 0.0, out=d2)
-    shared = mq @ mr.T
+    shared = np.matmul(mq, mr.T, out=scratch)
+    none_shared = shared == 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
-        d2 = d2 * (total_cols / shared)
-    d2[shared == 0.0] = np.inf
+        d2 *= np.divide(total_cols, shared, out=shared)
+    d2[none_shared] = np.inf
     return d2
 
 
 masked_sqdist_numpy = masked_sqdist  # older name, still read by perfbench
+
+
+# -- neighbour search --------------------------------------------------------
+
+# bytes of one block of float64 distance rows; a search holds a few blocks
+SEARCH_BYTES = 2 * 1024 * 1024
+
+
+def search_rows(n_ref: int) -> int:
+    """Query rows per search block against n_ref references."""
+    return max(1, SEARCH_BYTES // (8 * n_ref))
+
+
+def top_k(d2: np.ndarray, k: int) -> np.ndarray:
+    """First k columns of ``np.argsort(d2, axis=1, kind="stable")``.
+
+    ``np.argpartition`` picks the k smallest per row, and those k are
+    ordered by (distance, column).  A row with another value equal to its
+    k-th outside the picked k (ties, ``+inf``, NaN) is stable-sorted whole.
+    """
+    if k >= d2.shape[1]:
+        return np.argsort(d2, axis=1, kind="stable")[:, :k]
+    picked = np.argpartition(d2, k - 1, axis=1)[:, :k]
+    dist = np.take_along_axis(d2, picked, axis=1)
+    # sort the picked k by (distance, index); lexsort keys run last-major
+    order = np.lexsort((picked, dist), axis=1)
+    picked = np.take_along_axis(picked, order, axis=1)
+    kth = np.take_along_axis(dist, order[:, -1:], axis=1)
+    # the picked set is the stable one unless a value equal to the k-th lies
+    # outside it (a NaN k-th value counts nothing and also lands here)
+    tied = np.count_nonzero(d2 <= kth, axis=1) != k
+    for row in np.flatnonzero(tied):
+        picked[row] = np.argsort(d2[row], kind="stable")[:k]
+    return picked
 
 
 # -- LSTM sequence forward / backward ----------------------------------------

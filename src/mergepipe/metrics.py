@@ -132,8 +132,8 @@ class EvalReport:
     f1: float | None
     roc_points: list
     pr_points: list
-    auroc: float
-    aupr: float
+    auroc: float | None
+    aupr: float | None
 
     def to_json(self) -> dict:
         return {
@@ -172,10 +172,18 @@ class EvalReport:
 
 
 def evaluate(labels, scores, threshold: float = 0.5) -> EvalReport:
+    """Report at threshold; AUROC without both classes and AUPR without a
+    positive are None, with an empty curve."""
     cm = confusion_at(labels, scores, threshold)
     scalars = scalar_metrics(cm)
-    roc_points, auroc = roc_curve(labels, scores)
-    pr_points, aupr = pr_curve(labels, scores)
+    try:
+        roc_points, auroc = roc_curve(labels, scores)
+    except SingleClass:
+        roc_points, auroc = [], None
+    try:
+        pr_points, aupr = pr_curve(labels, scores)
+    except NoPositives:
+        pr_points, aupr = [], None
     return EvalReport(
         threshold=threshold,
         confusion=cm,

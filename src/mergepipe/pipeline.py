@@ -147,10 +147,6 @@ class FittedPipeline:
     valid_report: EvalReport
     feature_width: int
     class_weights: dict | None = None
-    # training rows as imputed at fit time, and the model inputs built from
-    # them; in-sample reports reuse both
-    train_imputed: list | None = field(default=None, repr=False, compare=False)
-    train_inputs: tuple | None = field(default=None, repr=False, compare=False)
     _network: object = field(default=None, init=False, repr=False, compare=False)
 
     def _model(self):
@@ -196,23 +192,17 @@ class FittedPipeline:
         return (tabular, sequences)
 
     def scores(self, deals) -> np.ndarray:
-        return self._scores_from_imputed(impute(self.imputer, deals))
-
-    def _scores_from_imputed(self, deals_imputed) -> np.ndarray:
-        q, _ = self._model().forward_batch(self.params, self.features_from_imputed(deals_imputed))
+        q, _ = self._model().forward_batch(self.params, self.features(deals))
         return q
 
     def evaluate_on(self, deals) -> EvalReport:
         imputed = impute(self.imputer, deals)
-        return self._report(labels_vector(imputed), self._scores_from_imputed(imputed))
+        return self._report_on_inputs(labels_vector(imputed), self.features_from_imputed(imputed))
 
-    def in_sample_report(self) -> EvalReport:
-        """Report on the training rows, scored from their fit-time inputs."""
-        q, _ = self._model().forward_batch(self.params, self.train_inputs)
-        return self._report(labels_vector(self.train_imputed), q)
-
-    def _report(self, labels, scores) -> EvalReport:
-        return evaluate(labels, scores, threshold=self.config.train.threshold)
+    def _report_on_inputs(self, labels, inputs) -> EvalReport:
+        """Report on rows whose model inputs are already built."""
+        q, _ = self._model().forward_batch(self.params, inputs)
+        return evaluate(labels, q, threshold=self.config.train.threshold)
 
     def to_json(self) -> dict:
         ref_num = self.imputer.reference_numeric
@@ -255,13 +245,18 @@ def _validation_split(deals, fraction: float):
 
 
 def fit_pipeline(train_deals, schema: DatasetSchema, config: FrameworkConfig) -> FittedPipeline:
-    return _fit(train_deals, schema, config, class_weighted=False)
+    fitted, _, _ = _fit(train_deals, schema, config, class_weighted=False)
+    return fitted
 
 
-def _fit(train_deals, schema, config, class_weighted: bool) -> FittedPipeline:
-    """The one fit path.  class_weighted (set only by fit_logit) trains with
-    inverse-frequency sample weights on the un-resampled fit rows, in place
-    of SMOTE even when the config enables it."""
+def _fit(train_deals, schema, config, class_weighted: bool):
+    """The one fit path; returns the fitted pipeline plus the training
+    labels and model inputs, which only an in-sample report reads, so the
+    pipeline itself keeps no training rows.
+
+    class_weighted (set only by fit_logit) trains with inverse-frequency
+    sample weights on the un-resampled fit rows, in place of SMOTE even when
+    the config enables it."""
     if config.framework in ("f2", "f3"):
         if schema.sentiment_length == 0:
             raise MissingSentiment("schema carries no sentiment columns")
@@ -305,7 +300,6 @@ def _fit(train_deals, schema, config, class_weighted: bool) -> FittedPipeline:
         trace=[],
         valid_report=None,
         feature_width=0,
-        train_imputed=train_imputed,
     )
 
     tabular = partial.tabular_features(train_imputed)
@@ -318,7 +312,7 @@ def _fit(train_deals, schema, config, class_weighted: bool) -> FittedPipeline:
         # tabular block and raw sequence ride one vector through SMOTE,
         # then split back into the two branches
         fit_x = np.hstack([tabular[fit_idx], sequences[fit_idx]])
-        partial.train_inputs = (tabular, sequences)
+        train_inputs = (tabular, sequences)
         valid_inputs = (tabular[valid_idx], sequences[valid_idx])
     else:
         if config.framework == "f2":
@@ -328,7 +322,7 @@ def _fit(train_deals, schema, config, class_weighted: bool) -> FittedPipeline:
             features = tabular
         partial.feature_width = features.shape[1]
         fit_x = features[fit_idx]
-        partial.train_inputs = (features,)
+        train_inputs = (features,)
         valid_inputs = (features[valid_idx],)
 
     sample_weight = None
@@ -349,7 +343,7 @@ def _fit(train_deals, schema, config, class_weighted: bool) -> FittedPipeline:
     partial.trace = trace
     valid_q, _ = model.forward_batch(params, valid_inputs)
     partial.valid_report = evaluate(y[valid_idx], valid_q, threshold=config.train.threshold)
-    return partial
+    return partial, y, train_inputs
 
 
 def run_framework1(train_deals, test_deals, schema: DatasetSchema, config: FrameworkConfig):
@@ -372,9 +366,8 @@ def run_framework3(train_deals, test_deals, schema: DatasetSchema, config: Frame
 
 def run_config(train_deals, test_deals, schema: DatasetSchema, config: FrameworkConfig):
     """Fit on train_deals; return (fitted, in-sample report, test report)."""
-    fitted = fit_pipeline(train_deals, schema, config)
-    in_sample = fitted.in_sample_report()
-    return fitted, in_sample, fitted.evaluate_on(test_deals)
+    fitted, y, inputs = _fit(train_deals, schema, config, class_weighted=False)
+    return fitted, fitted._report_on_inputs(y, inputs), fitted.evaluate_on(test_deals)
 
 
 # -- logit baselines -----------------------------------------------------------
@@ -403,9 +396,8 @@ def fit_logit(
     config = config or logit_config()
     if config.network.layers:
         raise BadConfig("logit baseline uses an empty layer stack")
-    fitted = _fit(train_deals, schema, config, class_weighted=use_class_weights)
-    in_sample = fitted.in_sample_report()
-    return fitted, in_sample, fitted.evaluate_on(test_deals)
+    fitted, y, inputs = _fit(train_deals, schema, config, class_weighted=use_class_weights)
+    return fitted, fitted._report_on_inputs(y, inputs), fitted.evaluate_on(test_deals)
 
 
 def class_weights(labels) -> dict:

@@ -1,4 +1,10 @@
-"""Minority oversampling by segment interpolation between nearest neighbours."""
+"""Minority oversampling by segment interpolation between nearest neighbours.
+
+The neighbour table walks the minority rows in blocks of
+``kernels.search_rows(n_min)`` rows and keeps each row's k nearest with
+``kernels.top_k``, so its peak memory is O(kernels.SEARCH_BYTES), not the
+O(n_min^2) of a full distance matrix.
+"""
 
 from __future__ import annotations
 
@@ -6,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import kernels
 from .errors import BadConfig, SingleClass, TooFewMinority
 
 
@@ -22,21 +29,29 @@ class SmoteConfig:
             raise BadConfig("target_ratio must lie in (0, 1]")
 
 
-def _sqdist_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    aa = (a * a).sum(axis=1)
-    bb = (b * b).sum(axis=1)
-    d2 = aa[:, None] - 2.0 * (a @ b.T) + bb[None, :]
-    np.maximum(d2, 0.0, out=d2)
-    return d2
-
-
 def _neighbour_table(minority: np.ndarray, k: int) -> np.ndarray:
     """k nearest minority neighbours per minority row (self excluded),
-    distance ties broken by row index."""
-    d2 = _sqdist_matrix(minority, minority)
-    np.fill_diagonal(d2, np.inf)
-    order = np.argsort(d2, axis=1, kind="stable")
-    return order[:, :k]
+    distance ties broken by row index.
+
+    Squared distances aa - 2 a.a' + aa' are taken for blocks of
+    ``kernels.search_rows(n)`` rows, so peak memory is O(SEARCH_BYTES)
+    rather than O(n^2); each block's self-distances are +inf.
+    """
+    n = minority.shape[0]
+    sq = (minority * minority).sum(axis=1)
+    out = np.empty((n, min(k, n)), dtype=np.int64)
+    step = kernels.search_rows(n)
+    for start in range(0, n, step):
+        stop = min(start + step, n)
+        d2 = np.matmul(minority[start:stop], minority.T)
+        d2 *= 2.0
+        np.subtract(sq[start:stop, None], d2, out=d2)
+        d2 += sq
+        np.maximum(d2, 0.0, out=d2)
+        rows = np.arange(stop - start)
+        d2[rows, start + rows] = np.inf
+        out[start:stop] = kernels.top_k(d2, k)
+    return out
 
 
 def _interpolate(x: np.ndarray, y: np.ndarray, u: float) -> np.ndarray:

@@ -101,6 +101,33 @@ class TestRun:
             "model.json", "pr.csv", "report.json", "roc.csv",
         ]
 
+    def test_one_class_slice_reports_null_metrics(self, tmp_path, capsys):
+        # 300 deals at a 5% cancel rate: the validation slice (and, with a
+        # 95% training split, the test slice) holds no cancelled deal
+        gen = tmp_path / "gen.json"
+        write_json(gen, {"n_deals": 300, "cancel_rate": 0.05, "n_numeric": 20,
+                         "n_categorical": 10, "levels_per_categorical": 3,
+                         "sentiment_length": 121, "missing_rate": 0.05,
+                         "signal_strength": 2.0, "sentiment_signal": 0.5})
+        data = tmp_path / "deals.csv"
+        assert main(["generate", "--config", str(gen), "--seed", "0", "--out", str(data)]) == 0
+        out_dir = tmp_path / "paper_split"
+        argv = ["run", "--preset", "f1/nn-recall", "--data", str(data)]
+        assert main([*argv, "--out-dir", str(out_dir)]) == 0
+        validation = json.loads((out_dir / "report.json").read_text())["validation"]
+        assert validation["auroc"] is None and validation["aupr"] is None
+        assert validation["roc_points"] == [] and validation["pr_points"] == []
+
+        split = tmp_path / "split.json"
+        write_json(split, {"split": {"train_fraction": 0.95}})
+        out_dir = tmp_path / "late_split"
+        capsys.readouterr()
+        assert main([*argv, "--config", str(split), "--out-dir", str(out_dir)]) == 0
+        assert "auroc=None" in capsys.readouterr().out
+        report = json.loads((out_dir / "report.json").read_text())
+        assert report["auroc"] is None and report["aupr"] is None
+        assert (out_dir / "roc.csv").read_text() == "fpr,tpr\n"
+
     def test_baseline_same_report_shape(self, deals_csv, tmp_path):
         run_cfg = tmp_path / "run.json"
         write_json(run_cfg, {"split": {"train_fraction": 0.8},

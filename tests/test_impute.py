@@ -17,7 +17,8 @@ from mergepipe.dataset import (
     numeric_matrix,
 )
 from mergepipe.errors import NoComparableRow, TooFewRows
-from mergepipe.impute import SEARCH_BLOCK, _neighbour_indices, fit_imputer, impute, top_k
+from mergepipe.impute import _neighbour_indices, fit_imputer, impute
+from mergepipe.kernels import SEARCH_BYTES, search_rows, top_k
 
 
 def schema_two_numeric():
@@ -99,11 +100,16 @@ def test_no_comparable_row():
     model = fit_imputer(refs, schema, k=2)
     with pytest.raises(NoComparableRow):
         impute(model, [make("q", (None, 1.0))])
-    # the first bad deal in input order is named, past the first search block
-    queries = [make(f"q{i}", (float(i % 7), None)) for i in range(SEARCH_BLOCK + 100)]
-    for i in (SEARCH_BLOCK + 20, SEARCH_BLOCK + 60):
+    # the first bad deal in input order is named, past the first search
+    # block; 8192 references give blocks of 32 query rows
+    refs = [make(f"r{i}", (float(i % 97), None)) for i in range(8192)]
+    model = fit_imputer(refs, schema, k=2)
+    step = search_rows(len(refs))
+    assert step == 32
+    queries = [make(f"q{i}", (float(i % 7), None)) for i in range(3 * step)]
+    for i in (step + 5, step + 20):
         queries[i] = make(f"bad{i}", (None, 1.0))
-    with pytest.raises(NoComparableRow, match=f"deal bad{SEARCH_BLOCK + 20} "):
+    with pytest.raises(NoComparableRow, match=f"deal bad{step + 5} "):
         impute(model, queries)
 
 
@@ -135,12 +141,11 @@ class TestExactTopK:
         assert out.numeric == (2.0, (50.0 + 10.0) / 2)
 
 
-def test_search_peak_memory_is_per_block():
-    # a whole-matrix search holds n_query x n_ref distances plus their sort
-    # order; the blocked one holds a few SEARCH_BLOCK x n_ref temporaries
-    n_ref, n_query = 2000, 16 * SEARCH_BLOCK
+def impute_peak_bytes(n_ref, n_query, seed):
+    """tracemalloc peak of imputing n_query incomplete rows against n_ref
+    references; the model is fitted before tracing starts."""
     schema = schema_two_numeric()
-    rng = np.random.default_rng(9)
+    rng = np.random.default_rng(seed)
     refs = [make(f"r{i}", tuple(row)) for i, row in enumerate(rng.normal(size=(n_ref, 2)).tolist())]
     queries = [make(f"q{i}", (x, None)) for i, x in enumerate(rng.normal(size=n_query).tolist())]
     model = fit_imputer(refs, schema, k=5)
@@ -150,8 +155,21 @@ def test_search_peak_memory_is_per_block():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    return peak
+
+
+def test_search_peak_memory_is_per_block():
+    # a whole-matrix search holds n_query x n_ref distances plus their sort
+    # order; the blocked one holds a few search_rows(n_ref) x n_ref blocks
+    n_ref = 2000
+    n_query = 16 * search_rows(n_ref)
     full_matrix = 8 * n_query * n_ref
-    assert peak < full_matrix / 2
+    assert impute_peak_bytes(n_ref, n_query, seed=9) < full_matrix / 2
+
+
+def test_search_peak_memory_does_not_grow_with_references():
+    # a fixed 512-row block against 20 000 references would alone be 82 MB
+    assert impute_peak_bytes(20_000, 2_000, seed=10) < 8 * SEARCH_BYTES
 
 
 def masked_universe(seed, n=120, missing=0.25):

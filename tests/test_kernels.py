@@ -45,6 +45,17 @@ class TestMaskedSqdist:
             assert np.array_equal(again, expected)
 
 
+class TestSearchRows:
+    def test_block_of_distance_rows_fits_the_budget(self):
+        # score-stream's 64-deal requests against 4000 references: one block
+        assert kernels.search_rows(4000) == 65
+        for n_ref in (1, 7, 240, 4000, 20_000, 10**6):
+            rows = kernels.search_rows(n_ref)
+            assert rows >= 1
+            assert rows == 1 or 8 * rows * n_ref <= kernels.SEARCH_BYTES
+            assert 8 * (rows + 1) * n_ref > kernels.SEARCH_BYTES
+
+
 def random_lstm_problem(seed, seq=9, batch=4, in_dim=2, hidden=5):
     rng = np.random.default_rng(seed)
     x = rng.normal(size=(seq, batch, in_dim))

@@ -191,3 +191,16 @@ class TestEvaluate:
         assert again.auroc == report.auroc
         assert again.confusion == report.confusion
         assert again.roc_points == report.roc_points
+
+    def test_one_class_curves_are_undefined(self):
+        scores = [0.2, 0.7, 0.4]
+        negatives = evaluate([0, 0, 0], scores)
+        assert negatives.auroc is None and negatives.roc_points == []
+        assert negatives.aupr is None and negatives.pr_points == []
+        assert negatives.recall is None and negatives.accuracy == 2 / 3
+        again = EvalReport.from_json(negatives.to_json())
+        assert again == negatives
+        # with positives only, the PR curve is still defined
+        positives = evaluate([1, 1, 1], scores)
+        assert positives.auroc is None and positives.roc_points == []
+        assert positives.aupr == pr_curve([1, 1, 1], scores)[1]

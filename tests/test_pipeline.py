@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from mergepipe.dataset import (
+    DealRecord,
     GeneratorConfig,
     SplitSpec,
     generate_synthetic,
@@ -357,6 +358,27 @@ class TestInSampleReuse:
         fitted.evaluate_on(test)
         assert len(built) == 1
         assert fitted._model() is fitted._model()
+
+    @pytest.mark.parametrize("framework", ["f1", "f3"])
+    def test_fitted_pipeline_keeps_no_training_rows(self, framework):
+        train, _, schema = universe(seed=18, n=240, sentiment_length=12)
+        config = FrameworkConfig(
+            framework=framework, network=small_net((8,)), pca_dims=4, mca_dims=3,
+            lstm_width=3, train=fast_train(epochs=2), seed=1,
+        )
+        fitted = pipeline.fit_pipeline(train, schema, config)
+        assert not hasattr(fitted, "train_imputed") and not hasattr(fitted, "train_inputs")
+
+        def holds_training_rows(value):
+            if isinstance(value, np.ndarray):
+                return value.ndim > 0 and value.shape[0] == len(train)
+            if isinstance(value, (list, tuple)):
+                return any(isinstance(v, DealRecord) or holds_training_rows(v) for v in value)
+            return False
+
+        # the imputer's reference matrix is the one copy of the training rows
+        for name, value in vars(fitted).items():
+            assert not holds_training_rows(value), name
 
     def test_weighted_logit(self, monkeypatch):
         train, test, schema = universe(seed=15, n=400)

@@ -1,8 +1,17 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from mergepipe import kernels
 from mergepipe.errors import SingleClass, TooFewMinority
-from mergepipe.resample import SmoteConfig, _interpolate, smote, validate_smote_geometry
+from mergepipe.resample import (
+    SmoteConfig,
+    _interpolate,
+    _neighbour_table,
+    smote,
+    validate_smote_geometry,
+)
 
 
 def toy_imbalanced(seed, n_maj=80, n_min=20, dim=3):
@@ -88,3 +97,31 @@ def test_single_class():
     y = np.zeros(10)
     with pytest.raises(SingleClass):
         smote(X, y, SmoteConfig())
+
+
+def test_neighbour_table_matches_full_stable_argsort():
+    rng = np.random.default_rng(11)
+    # small integers make equal distances, and so ties, common
+    minority = rng.integers(0, 4, size=(600, 3)).astype(np.float64)
+    assert kernels.search_rows(minority.shape[0]) < minority.shape[0]
+    diff = minority[:, None, :] - minority[None, :, :]
+    d2 = (diff * diff).sum(axis=2)
+    np.fill_diagonal(d2, np.inf)
+    for k in (1, 5, 9):
+        expected = np.argsort(d2, axis=1, kind="stable")[:, :k]
+        assert np.array_equal(_neighbour_table(minority, k), expected)
+
+
+def test_smote_peak_memory_is_per_block():
+    rng = np.random.default_rng(12)
+    n_min, n_maj, dim = 3000, 3500, 4
+    X = np.vstack([rng.normal(0, 1, (n_maj, dim)), rng.normal(2, 1, (n_min, dim))])
+    y = np.concatenate([np.zeros(n_maj), np.ones(n_min)])
+    tracemalloc.start()
+    try:
+        smote(X, y, SmoteConfig(k_neighbors=5, seed=0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    full_matrix = 8 * n_min * n_min
+    assert peak < full_matrix / 4
