@@ -9,12 +9,17 @@ on every call and once, as ``ImputerModel`` holds them.  SMOTE: the
 neighbour table of the 720 minority rows x 40 features an f1 paper-shape fit
 oversamples.  LSTM: the two cells the seq-small workload runs at T=121,
 batch 64 -- the f3 classifier's tanh cell with hidden 8 and the f2
-autoencoder's sigmoid cell with hidden 5 -- each timed forward alone and as a
-forward+backward round trip.
+autoencoder's sigmoid cell with hidden 5 -- each timed forward alone,
+backward alone on one forward's states, and as a forward+backward round trip.
 
-BLAS runs on one thread, as in perfbench, fixed before numpy loads.
+BLAS runs on one thread, as in perfbench, fixed before numpy loads.  Every
+row is the best of ``--repeat`` calls.  The rows, the shapes and the
+provenance (Python, numpy, BLAS threads, CPU count, and the git commit of the
+``mergepipe`` source that was timed) are appended as one entry to
+``BENCH_kernels.json`` at the repository root; ``--label`` names the entry.
 
-Run: python benchmarks/bench_kernels.py [--refs 4000] [--cols 20] [--seq 121] [--batch 64] [--repeat 5]
+Run: python benchmarks/bench_kernels.py [--refs 4000] [--cols 20] [--seq 121] [--batch 64]
+                                        [--repeat 5] [--label TEXT]
 """
 
 from __future__ import annotations
@@ -25,7 +30,11 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
 import argparse  # noqa: E402
+import json  # noqa: E402
+import platform  # noqa: E402
+import subprocess  # noqa: E402
 import time  # noqa: E402
+from pathlib import Path  # noqa: E402
 
 import numpy as np  # noqa: E402
 
@@ -108,19 +117,66 @@ def bench_lstm(seq_len, batch, hidden, sigmoid_candidate, repeat):
     def forward():
         return kernels.lstm_forward(x, wx, wh, b, h0, h0.copy(), sigmoid_candidate)
 
+    states = forward()
+
+    def backward():
+        kernels.lstm_backward(x, wx, wh, *states, dh_all, sigmoid_candidate)
+
     def round_trip():
         hs, cs, cache = forward()
         kernels.lstm_backward(x, wx, wh, hs, cs, cache, dh_all, sigmoid_candidate)
 
     round_trip()  # warm up
-    return [("forward", timeit(forward, repeat)), ("forward+backward", timeit(round_trip, repeat))]
+    return [
+        ("forward", timeit(forward, repeat)),
+        ("backward", timeit(backward, repeat)),
+        ("forward+backward", timeit(round_trip, repeat)),
+    ]
 
 
 def show(title, rows, steps=None):
     print(f"\n{title}")
+    out = []
     for name, seconds in rows:
-        per_step = f"   {seconds * 1e6 / steps:7.1f} us/step" if steps else ""
+        row = {"group": title, "name": name, "ms": round(seconds * 1e3, 4)}
+        per_step = ""
+        if steps:
+            row["us_per_step"] = round(seconds * 1e6 / steps, 3)
+            per_step = f"   {row['us_per_step']:7.1f} us/step"
         print(f"  {name:<28s} {seconds * 1e3:9.2f} ms{per_step}")
+        out.append(row)
+    return out
+
+
+def provenance():
+    """Where the timed numbers come from; the commit is the one holding the
+    imported ``mergepipe`` source, marked dirty when that tree has changes."""
+    src = Path(kernels.__file__).resolve().parent
+
+    def git(*argv):
+        try:
+            done = subprocess.run(["git", "-C", str(src), *argv], capture_output=True,
+                                  text=True, check=True)
+        except (OSError, subprocess.CalledProcessError):
+            return None
+        return done.stdout.strip()
+
+    status = git("status", "--porcelain", "--untracked-files=no", ".")
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "blas_threads": int(os.environ["OPENBLAS_NUM_THREADS"]),
+        "nproc": os.cpu_count(),
+        "git_sha": git("rev-parse", "HEAD"),
+        "git_dirty": None if status is None else bool(status),
+    }
+
+
+def append_entry(path, entry):
+    doc = json.loads(path.read_text()) if path.exists() else {
+        "benchmark": "benchmarks/bench_kernels.py", "entries": []}
+    doc["entries"].append(entry)
+    path.write_text(json.dumps(doc, indent=2) + "\n")
 
 
 def main():
@@ -130,22 +186,29 @@ def main():
     parser.add_argument("--seq", type=int, default=121, help="sequence length for the LSTM")
     parser.add_argument("--batch", type=int, default=64)
     parser.add_argument("--repeat", type=int, default=5)
+    parser.add_argument("--label", default="", help="free text naming the entry")
     args = parser.parse_args()
 
-    show(
+    rows = show(
         f"masked pairwise sqdist ({kernels.search_rows(args.refs)}x{args.refs}, {args.cols} cols)",
         bench_masked_sqdist(args.refs, args.cols, args.repeat),
     )
-    show("masked pairwise sqdist, serving shapes (20 cols)",
-         bench_masked_sqdist_serving(args.repeat))
-    show(f"smote neighbour table ({SMOTE_SHAPE[0]} rows, {SMOTE_SHAPE[1]} cols)",
-         bench_smote_table(args.repeat))
+    rows += show("masked pairwise sqdist, serving shapes (20 cols)",
+                 bench_masked_sqdist_serving(args.repeat))
+    rows += show(f"smote neighbour table ({SMOTE_SHAPE[0]} rows, {SMOTE_SHAPE[1]} cols)",
+                 bench_smote_table(args.repeat))
     for label, hidden, sigmoid_candidate in LSTM_CELLS:
-        show(
+        rows += show(
             f"lstm {label} (T={args.seq}, batch={args.batch}, hidden={hidden})",
             bench_lstm(args.seq, args.batch, hidden, sigmoid_candidate, args.repeat),
             steps=args.seq,
         )
+    shape = {"refs": args.refs, "cols": args.cols, "seq": args.seq, "batch": args.batch,
+             "repeat": args.repeat}
+    out = Path(__file__).resolve().parent.parent / "BENCH_kernels.json"
+    append_entry(out, {"label": args.label, "provenance": provenance(), "shape": shape,
+                            "rows": rows})
+    print(f"\nappended to {out}")
 
 
 if __name__ == "__main__":

@@ -125,6 +125,25 @@ def csv_header(schema: DatasetSchema) -> list:
     )
 
 
+def _unparsable_cell(row, header, schema: DatasetSchema):
+    """(column name, cell) of the first cell of ``row`` that does not parse."""
+    parsers = (
+        [None, dt.date.fromisoformat]
+        + [float] * schema.n_numeric
+        + [None] * schema.n_categorical
+        + [float] * schema.sentiment_length
+        + [int]
+    )
+    for name, parse, cell in zip(header, parsers, row):
+        if parse is None or (parse is float and cell == ""):
+            continue
+        try:
+            parse(cell)
+        except ValueError:
+            return name, cell
+    raise AssertionError("every cell of the row parses")
+
+
 def load_deals_csv(path, schema: DatasetSchema) -> list:
     """Parse a deals CSV; empty cells denote missing values."""
     expected = csv_header(schema)
@@ -145,33 +164,39 @@ def load_deals_csv(path, schema: DatasetSchema) -> list:
             if deal_id in seen:
                 raise DuplicateId(f"{path}:{lineno}: duplicate deal_id {deal_id!r}")
             seen.add(deal_id)
-            date = dt.date.fromisoformat(row[1])
-            pos = 2
-            numeric = tuple(
-                None if cell == "" else float(cell) for cell in row[pos : pos + n_num]
-            )
-            pos += n_num
-            categorical = []
-            for var, cell in enumerate(row[pos : pos + n_cat]):
-                if cell == "":
-                    categorical.append(None)
+            try:
+                date = dt.date.fromisoformat(row[1])
+                pos = 2
+                numeric = tuple(
+                    None if cell == "" else float(cell) for cell in row[pos : pos + n_num]
+                )
+                pos += n_num
+                categorical = []
+                for var, cell in enumerate(row[pos : pos + n_cat]):
+                    if cell == "":
+                        categorical.append(None)
+                    else:
+                        schema.level_index(var, cell)  # validates
+                        categorical.append(cell)
+                pos += n_cat
+                sent_cells = row[pos : pos + s_len]
+                pos += s_len
+                if not sent_cells or "" in sent_cells:
+                    if any(sent_cells):
+                        raise BadSentiment(f"{path}:{lineno}: partial sentiment sequence")
+                    sentiment = None
                 else:
-                    schema.level_index(var, cell)  # validates
-                    categorical.append(cell)
-            pos += n_cat
-            sent_cells = row[pos : pos + s_len]
-            pos += s_len
-            if not sent_cells or "" in sent_cells:
-                if any(sent_cells):
-                    raise BadSentiment(f"{path}:{lineno}: partial sentiment sequence")
-                sentiment = None
-            else:
-                sentiment = tuple(map(float, sent_cells))
-                # a NaN or inf makes the sum non-finite; min and max alone miss a NaN
-                lo, hi = min(sentiment), max(sentiment)
-                if not (math.isfinite(sum(sentiment)) and -1.0 <= lo and hi <= 1.0):
-                    raise BadSentiment(f"deal {deal_id}: sentiment value outside [-1, 1]")
-            label = int(row[pos])
+                    sentiment = tuple(map(float, sent_cells))
+                    # a NaN or inf makes the sum non-finite; min and max alone miss a NaN
+                    lo, hi = min(sentiment), max(sentiment)
+                    if not (math.isfinite(sum(sentiment)) and -1.0 <= lo and hi <= 1.0):
+                        raise BadSentiment(f"deal {deal_id}: sentiment value outside [-1, 1]")
+                label = int(row[pos])
+            except ValueError:
+                column, cell = _unparsable_cell(row, expected, schema)
+                raise MalformedRow(
+                    f"{path}:{lineno}: column {column!r} cannot parse {cell!r}"
+                ) from None
             if label not in (0, 1):
                 raise MalformedRow(f"{path}:{lineno}: label must be 0 or 1")
             records.append(

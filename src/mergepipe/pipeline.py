@@ -205,21 +205,16 @@ class FittedPipeline:
         return evaluate(labels, q, threshold=self.config.train.threshold)
 
     def to_json(self) -> dict:
-        ref_num = self.imputer.reference_numeric
         return {
             "format_version": 1,
             "config": self.config.to_json(),
             "schema": self.schema.to_json(),
             "imputer": {
                 "k": self.imputer.k,
-                "reference_numeric": [
-                    [None if not np.isfinite(v) else v for v in row] for row in ref_num
-                ],
+                "reference_numeric": _finite_or_none(self.imputer.reference_numeric),
                 "reference_categorical": self.imputer.reference_categorical.tolist(),
                 "numeric_scale": self.imputer.numeric_scale.tolist(),
-                "column_mean": [
-                    None if not np.isfinite(v) else v for v in self.imputer.column_mean
-                ],
+                "column_mean": _finite_or_none(self.imputer.column_mean),
                 "column_mode": self.imputer.column_mode.tolist(),
             },
             "pca": self.pca.to_json(),
@@ -229,6 +224,11 @@ class FittedPipeline:
             "params": self.params.to_json(),
             "feature_width": self.feature_width,
         }
+
+
+def _finite_or_none(values: np.ndarray) -> list:
+    """Nested lists of ``values`` with JSON null for NaN and inf cells."""
+    return np.where(np.isfinite(values), values, None).tolist()
 
 
 def _validation_split(deals, fraction: float):

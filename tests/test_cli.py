@@ -46,6 +46,19 @@ def deals_csv(tmp_path):
     return out
 
 
+def _with_bad_cell(deals_csv, tmp_path):
+    """Copy of the generated CSV and schema whose second deal has 'abc' as
+    its first numeric cell."""
+    lines = deals_csv.read_text().splitlines()
+    cells = lines[2].split(",")
+    cells[2] = "abc"
+    lines[2] = ",".join(cells)
+    bad = tmp_path / "bad.csv"
+    bad.write_text("\n".join(lines) + "\n")
+    bad.with_suffix(".schema.json").write_text(deals_csv.with_suffix(".schema.json").read_text())
+    return bad
+
+
 class TestGenerate:
     def test_writes_configured_rows(self, deals_csv):
         lines = deals_csv.read_text().splitlines()
@@ -167,6 +180,40 @@ class TestRun:
         for artifact in ("report.json", "roc.csv", "pr.csv", "model.json"):
             assert (dirs[0] / artifact).read_bytes() == (dirs[1] / artifact).read_bytes()
 
+    @pytest.mark.parametrize("framework", ["f2", "f3"])
+    def test_sequence_rerun_byte_identical_artifacts(self, tmp_path, framework):
+        gen = tmp_path / "gen.json"
+        write_json(gen, {**GEN_CONFIG, "n_deals": 120, "cancel_rate": 0.3,
+                         "sentiment_length": 16})
+        data = tmp_path / "deals.csv"
+        assert main(["generate", "--config", str(gen), "--seed", "4", "--out", str(data)]) == 0
+        run_cfg = tmp_path / "run.json"
+        write_json(run_cfg, {**RUN_CONFIG, "framework": framework, "lstm_width": 3,
+                             "autoencoder_hidden": 3, "autoencoder_epochs": 2,
+                             "embedding_dim": 2, "train": {**RUN_CONFIG["train"], "epochs": 3}})
+        dirs = []
+        for name in ("r1", "r2"):
+            out_dir = tmp_path / name
+            assert main(
+                ["run", "--framework", framework, "--data", str(data),
+                 "--config", str(run_cfg), "--out-dir", str(out_dir)]
+            ) == 0
+            dirs.append(out_dir)
+        for artifact in ("report.json", "roc.csv", "pr.csv", "model.json"):
+            assert (dirs[0] / artifact).read_bytes() == (dirs[1] / artifact).read_bytes()
+
+    def test_unparsable_cell_exit_2(self, deals_csv, tmp_path, capsys):
+        bad = _with_bad_cell(deals_csv, tmp_path)
+        run_cfg = tmp_path / "run.json"
+        write_json(run_cfg, RUN_CONFIG)
+        code = main(
+            ["run", "--framework", "f1", "--data", str(bad), "--config", str(run_cfg),
+             "--out-dir", str(tmp_path / "bad")]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"cannot load data: {bad}:3: column 'num_00' cannot parse 'abc'" in err
+
     def test_invalid_config_exit_2(self, deals_csv, tmp_path):
         run_cfg = tmp_path / "run.json"
         write_json(run_cfg, {**RUN_CONFIG, "objective": "nonsense"})
@@ -228,6 +275,18 @@ class TestSearch:
             ) == 0
             outs.append(out_dir)
         assert (outs[0] / "trials.csv").read_bytes() == (outs[1] / "trials.csv").read_bytes()
+
+    def test_unparsable_cell_exit_2(self, deals_csv, tmp_path, capsys):
+        bad = _with_bad_cell(deals_csv, tmp_path)
+        space = tmp_path / "space.json"
+        write_json(space, SPACE)
+        code = main(
+            ["search", "--data", str(bad), "--space", str(space),
+             "--budget", "2", "--out-dir", str(tmp_path / "s")]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"cannot load inputs: {bad}:3: column 'num_00' cannot parse 'abc'" in err
 
     def test_empty_space_exit_2(self, deals_csv, tmp_path):
         space = tmp_path / "space.json"

@@ -111,6 +111,22 @@ class TestLoadCsv:
         with pytest.raises(MalformedRow):
             load_deals_csv(f, tiny_schema())
 
+    @pytest.mark.parametrize(
+        "row, column, cell",
+        [
+            ("a,2015-01-02,abc,0.2,US,0.1,0.2,0.3,0.4,0", "tic_ebitda", "abc"),
+            ("a,2020-13-45,1.0,0.2,US,0.1,0.2,0.3,0.4,0", "announce_date", "2020-13-45"),
+            ("a,2015-01-02,1.0,0.2,US,0.1,abc,0.3,0.4,0", "s001", "abc"),
+            ("a,2015-01-02,1.0,0.2,US,0.1,0.2,0.3,0.4,yes", "label", "yes"),
+        ],
+    )
+    def test_unparsable_cell_names_line_and_column(self, tmp_path, row, column, cell):
+        f = tmp_path / "deals.csv"
+        write_csv(f, [HEADER, "z,2014-01-02,1.0,0.2,EU,0.1,0.2,0.3,0.4,1", row])
+        with pytest.raises(MalformedRow) as info:
+            load_deals_csv(f, tiny_schema())
+        assert str(info.value) == f"{f}:3: column {column!r} cannot parse {cell!r}"
+
     def test_unknown_category(self, tmp_path):
         f = tmp_path / "deals.csv"
         write_csv(f, [HEADER, "a,2015-01-02,1.0,0.2,ASIA,0.1,0.2,0.3,0.4,0"])

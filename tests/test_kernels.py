@@ -136,6 +136,31 @@ class TestLstmNumpy:
             assert np.allclose(got, want, rtol=0.0, atol=1e-12)
 
     @pytest.mark.parametrize("sigmoid_candidate", [False, True])
+    def test_encoder_gradient_at_last_step_only(self, sigmoid_candidate):
+        # the autoencoder's encoder and the classifier's LSTM branch read
+        # only the last hidden state; batch 1 is a single scored deal
+        x, wx, wh, b, h0, c0, dh_all = random_lstm_problem(5, seq=121, batch=1, in_dim=1)
+        dh_all[:-1] = 0.0
+        ref = _lstm_loops(x, wx, wh, b, h0, c0, dh_all, sigmoid_candidate)
+        hs, cs, cache = kernels.lstm_forward(x, wx, wh, b, h0, c0, sigmoid_candidate)
+        grads = kernels.lstm_backward(x, wx, wh, hs, cs, cache, dh_all, sigmoid_candidate)
+        for got, want in zip((hs, cs) + tuple(grads), ref):
+            assert got.shape == want.shape
+            assert np.allclose(got, want, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("sigmoid_candidate", [False, True])
+    def test_sweep_equals_chained_single_steps(self, sigmoid_candidate):
+        x, wx, wh, b, h0, c0, _ = random_lstm_problem(8, seq=12, in_dim=1)
+        hs, cs, _ = kernels.lstm_forward(x, wx, wh, b, h0, c0, sigmoid_candidate)
+        h, c = h0, c0
+        for t in range(x.shape[0]):
+            step_hs, step_cs, _ = kernels.lstm_forward(
+                x[t : t + 1], wx, wh, b, h, c, sigmoid_candidate
+            )
+            h, c = step_hs[1], step_cs[1]
+            assert np.array_equal(h, hs[t + 1]) and np.array_equal(c, cs[t + 1])
+
+    @pytest.mark.parametrize("sigmoid_candidate", [False, True])
     def test_backward_matches_finite_differences(self, sigmoid_candidate):
         x, wx, wh, b, h0, c0, dh_all = random_lstm_problem(11, seq=6, batch=3, hidden=3)
         inputs = [wx, wh, b, h0, c0]
