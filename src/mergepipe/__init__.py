@@ -11,6 +11,7 @@ __version__ = "0.1.0"
 
 from .dataset import (
     DatasetSchema,
+    DealFrame,
     DealRecord,
     GeneratorConfig,
     SplitSpec,
@@ -70,6 +71,7 @@ __all__ = [
     "AutoencoderSpec",
     "ConfusionMatrix",
     "DatasetSchema",
+    "DealFrame",
     "DealRecord",
     "EvalReport",
     "FittedPipeline",

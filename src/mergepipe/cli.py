@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import datetime as dt
 import hashlib
 import json
@@ -47,6 +48,8 @@ from .pipeline import (
 from .presets import PRESET_NAMES, preset
 
 BASELINES = ("logit", "weighted-logit")
+# EvalReport fields that report.json and trials.csv carry at top level
+HEADLINE = ("accuracy", "precision", "recall", "f1", "auroc", "aupr")
 
 
 def _die(code: int, message: str) -> int:
@@ -54,11 +57,19 @@ def _die(code: int, message: str) -> int:
     return code
 
 
-def _read_json(path: Path):
+def _read_json(path: Path) -> dict:
+    """The JSON object stored in ``path``; any other JSON value raises BadConfig."""
     if not path.exists():
         raise FileNotFoundError(f"config file not found: {path}")
     with open(path) as fh:
-        return json.load(fh)
+        doc = json.load(fh)
+    _require_object(doc, str(path))
+    return doc
+
+
+def _require_object(doc, what: str) -> None:
+    if not isinstance(doc, dict):
+        raise BadConfig(f"{what} is not a JSON object")
 
 
 def _digest(doc) -> str:
@@ -88,12 +99,11 @@ def cmd_generate(args) -> int:
     started = time.perf_counter()
     try:
         doc = _read_json(Path(args.config))
+        config = GeneratorConfig.from_json(doc)
     except FileNotFoundError as exc:
         return _die(1, str(exc))
     except json.JSONDecodeError as exc:
         return _die(2, f"config is not valid JSON: {exc}")
-    try:
-        config = GeneratorConfig.from_json(doc)
     except MergepipeError as exc:
         return _die(2, f"bad generator config: {exc}")
     deals = generate_synthetic(config, seed=args.seed)
@@ -124,23 +134,15 @@ def _load_dataset(args):
 
 def _split_from_doc(doc: dict) -> SplitSpec:
     split = doc.pop("split", None) or {"train_fraction": 0.8}
+    _require_object(split, "split")
     if "cutoff_date" in split:
         return SplitSpec(cutoff_date=dt.date.fromisoformat(split["cutoff_date"]))
     return SplitSpec(train_fraction_override=float(split["train_fraction"]))
 
 
 def _report_doc(in_sample, out_of_sample, valid_report) -> dict:
-    doc = {
-        "accuracy": out_of_sample.accuracy,
-        "precision": out_of_sample.precision,
-        "recall": out_of_sample.recall,
-        "f1": out_of_sample.f1,
-        "auroc": out_of_sample.auroc,
-        "aupr": out_of_sample.aupr,
-        "threshold": out_of_sample.threshold,
-        "in_sample": in_sample.to_json(),
-        "out_of_sample": out_of_sample.to_json(),
-    }
+    doc = {name: getattr(out_of_sample, name) for name in HEADLINE + ("threshold",)}
+    doc.update(in_sample=in_sample.to_json(), out_of_sample=out_of_sample.to_json())
     if valid_report is not None:
         doc["validation"] = valid_report.to_json()
     return doc
@@ -159,15 +161,8 @@ def cmd_run(args) -> int:
     except MergepipeError as exc:
         return _die(2, f"cannot load data: {exc}")
 
-    config_doc = {}
-    if args.config:
-        try:
-            config_doc = dict(_read_json(Path(args.config)))
-        except FileNotFoundError as exc:
-            return _die(1, str(exc))
-        except json.JSONDecodeError as exc:
-            return _die(2, f"config is not valid JSON: {exc}")
     try:
+        config_doc = _read_json(Path(args.config)) if args.config else {}
         split_spec = _split_from_doc(config_doc)
         if args.preset:
             config = preset(args.preset, seed=args.seed if args.seed is not None else 0)
@@ -185,14 +180,14 @@ def cmd_run(args) -> int:
                 config_doc["framework"] = args.framework
                 config = FrameworkConfig.from_json(config_doc)
         if args.seed is not None:
-            doc = config.to_json()
-            doc["seed"] = args.seed
-            config = FrameworkConfig.from_json(doc)
+            config = dataclasses.replace(config, seed=args.seed)
+    except FileNotFoundError as exc:
+        return _die(1, str(exc))
+    except json.JSONDecodeError as exc:
+        return _die(2, f"config is not valid JSON: {exc}")
     except (MergepipeError, KeyError, ValueError) as exc:
         return _die(2, f"invalid run config: {exc}")
 
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     try:
         train, test = temporal_split(deals, split_spec)
         if args.baseline:
@@ -205,8 +200,10 @@ def cmd_run(args) -> int:
     except MergepipeError as exc:
         return _die(3, f"pipeline failure [{type(exc).__name__}]: {exc}")
 
+    out_dir = Path(args.out_dir)
     artifacts = []
     try:
+        out_dir.mkdir(parents=True, exist_ok=True)
         report_path = out_dir / "report.json"
         _write_json(report_path, _report_doc(in_rep, out_rep, fitted.valid_report))
         artifacts.append(report_path)
@@ -237,18 +234,12 @@ def _logit_from_doc(overrides: dict) -> FrameworkConfig:
 
 def _trial_rows(results, objective):
     for rank, trial in enumerate(results, start=1):
-        vr = trial.valid_report
         yield {
             "rank": rank,
             "trial": trial.trial,
             "objective": objective,
             "objective_value": trial.objective_value,
-            "accuracy": vr.accuracy,
-            "precision": vr.precision,
-            "recall": vr.recall,
-            "f1": vr.f1,
-            "auroc": vr.auroc,
-            "aupr": vr.aupr,
+            **{name: getattr(trial.valid_report, name) for name in HEADLINE},
             "config": json.dumps(trial.config.to_json(), sort_keys=True),
         }
 
@@ -263,7 +254,8 @@ def cmd_search(args) -> int:
     except (MergepipeError, json.JSONDecodeError) as exc:
         return _die(2, f"cannot load inputs: {exc}")
     try:
-        base_doc = dict(space_doc.get("base") or {})
+        base_doc = space_doc.get("base") or {}
+        _require_object(base_doc, "search base")
         split_spec = _split_from_doc(base_doc)
         base = FrameworkConfig.from_json(base_doc)
         space = space_doc.get("space") or {}
@@ -286,9 +278,9 @@ def cmd_search(args) -> int:
         return _die(3, f"pipeline failure [{type(exc).__name__}]: {exc}")
 
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     artifacts = []
     try:
+        out_dir.mkdir(parents=True, exist_ok=True)
         trials_path = out_dir / "trials.csv"
         rows = list(_trial_rows(results, args.objective))
         with open(trials_path, "w", newline="") as fh:

@@ -1,11 +1,13 @@
-"""Deal data model: records, schema, CSV I/O, temporal split, synthetic generator."""
+"""Deal data model: records, frames, schema, CSV I/O, temporal split, synthetic generator."""
 
 from __future__ import annotations
 
 import csv
+import dataclasses
 import datetime as dt
 import json
 import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -95,6 +97,91 @@ class DatasetSchema:
         )
 
 
+_COLUMNS = ("deal_ids", "dates", "numeric", "codes", "sentiment", "has_sentiment", "labels")
+
+
+@dataclass(frozen=True, eq=False)
+class DealFrame:
+    """Deals as columns, the form every stage reads.
+
+    Missing numeric cells are NaN and missing categorical codes -1; a deal
+    without a sentiment path has has_sentiment False and a NaN sentiment row.
+    Nothing writes into a frame's columns: a slice of a frame shares them.
+    A frame is also a read-only sequence of DealRecord rows, None marking a
+    missing cell: an integer index (numpy integers too) gives a row; a slice,
+    an index array or a boolean mask gives ``take``; ``==`` compares rows.
+    """
+
+    schema: DatasetSchema
+    deal_ids: np.ndarray  # (n,) str objects
+    dates: np.ndarray  # (n,) int64 announce-date ordinals
+    numeric: np.ndarray  # (n, n_numeric) float
+    codes: np.ndarray  # (n, n_categorical) int64 level index
+    sentiment: np.ndarray  # (n, sentiment_length) float
+    has_sentiment: np.ndarray  # (n,) bool
+    labels: np.ndarray  # (n,) int64, 1 = cancelled
+
+    @classmethod
+    def of(cls, deals, schema: DatasetSchema) -> "DealFrame":
+        """A frame as is; a sequence of DealRecords converted to a frame."""
+        if isinstance(deals, DealFrame):
+            return deals
+        n = len(deals)
+        absent = (np.nan,) * schema.sentiment_length
+        codes = [
+            [-1 if c is None else schema.level_index(v, c) for v, c in enumerate(r.categorical)]
+            for r in deals
+        ]
+        return cls(
+            schema=schema,
+            deal_ids=np.array([r.deal_id for r in deals], dtype=object),
+            dates=np.array([r.announce_date.toordinal() for r in deals], dtype=np.int64),
+            # numpy reads None as NaN in a float array
+            numeric=np.array([r.numeric for r in deals], dtype=np.float64).reshape(
+                n, schema.n_numeric
+            ),
+            codes=np.array(codes, dtype=np.int64).reshape(n, schema.n_categorical),
+            sentiment=np.array(
+                [absent if r.sentiment is None else r.sentiment for r in deals], dtype=np.float64
+            ).reshape(n, schema.sentiment_length),
+            has_sentiment=np.array([r.sentiment is not None for r in deals], dtype=bool),
+            labels=np.array([r.label for r in deals], dtype=np.int64),
+        )
+
+    def take(self, index) -> "DealFrame":
+        """The rows at ``index``: a slice, an index array or a boolean mask."""
+        return dataclasses.replace(self, **{c: getattr(self, c)[index] for c in _COLUMNS})
+
+    def _row(self, i: int) -> DealRecord:
+        levels = self.schema.categorical_levels
+        return DealRecord(
+            deal_id=self.deal_ids[i],
+            announce_date=dt.date.fromordinal(int(self.dates[i])),
+            numeric=tuple(None if math.isnan(v) else v for v in self.numeric[i].tolist()),
+            categorical=tuple(
+                None if c < 0 else levels[v][c] for v, c in enumerate(self.codes[i].tolist())
+            ),
+            sentiment=tuple(self.sentiment[i].tolist()) if self.has_sentiment[i] else None,
+            label=int(self.labels[i]),
+        )
+
+    def __len__(self) -> int:
+        return self.labels.shape[0]
+
+    def __getitem__(self, key):
+        if isinstance(key, (int, np.integer)):
+            return self._row(range(len(self))[key])
+        return self.take(key)
+
+    def __iter__(self):
+        return map(self._row, range(len(self)))
+
+    def __eq__(self, other):
+        if not isinstance(other, (DealFrame, list)):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+
 @dataclass(frozen=True)
 class SplitSpec:
     """Temporal split rule: exactly one of cutoff_date / train_fraction_override."""
@@ -111,16 +198,12 @@ class SplitSpec:
             raise BadConfig("train_fraction_override must lie in (0, 1)")
 
 
-def _sentiment_cols(n: int) -> list:
-    return [f"s{i:03d}" for i in range(n)]
-
-
 def csv_header(schema: DatasetSchema) -> list:
     return (
         ["deal_id", "announce_date"]
         + list(schema.numeric_names)
         + list(schema.categorical_names)
-        + _sentiment_cols(schema.sentiment_length)
+        + [f"s{i:03d}" for i in range(schema.sentiment_length)]
         + ["label"]
     )
 
@@ -144,14 +227,20 @@ def _unparsable_cell(row, header, schema: DatasetSchema):
     raise AssertionError("every cell of the row parses")
 
 
-def load_deals_csv(path, schema: DatasetSchema) -> list:
-    """Parse a deals CSV; empty cells denote missing values."""
+def load_deals_csv(path, schema: DatasetSchema) -> "DealFrame":
+    """Parse a deals CSV into a frame; empty cells denote missing values.
+
+    Rows are parsed one at a time into flat float buffers, so the file's
+    values are held as 8-byte doubles, never as Python floats or CSV rows.
+    """
     expected = csv_header(schema)
-    records = []
-    seen = set()
+    ids, seen = [], set()
+    dates, codes, has_sentiment, labels = [], [], [], []
+    numeric, sentiment = array("d"), array("d")
     n_num = schema.n_numeric
     n_cat = schema.n_categorical
     s_len = schema.sentiment_length
+    absent = [math.nan] * s_len
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -165,31 +254,26 @@ def load_deals_csv(path, schema: DatasetSchema) -> list:
                 raise DuplicateId(f"{path}:{lineno}: duplicate deal_id {deal_id!r}")
             seen.add(deal_id)
             try:
-                date = dt.date.fromisoformat(row[1])
+                date = dt.date.fromisoformat(row[1]).toordinal()
                 pos = 2
-                numeric = tuple(
-                    None if cell == "" else float(cell) for cell in row[pos : pos + n_num]
-                )
+                num = [math.nan if cell == "" else float(cell) for cell in row[pos : pos + n_num]]
                 pos += n_num
-                categorical = []
-                for var, cell in enumerate(row[pos : pos + n_cat]):
-                    if cell == "":
-                        categorical.append(None)
-                    else:
-                        schema.level_index(var, cell)  # validates
-                        categorical.append(cell)
+                cat = [
+                    -1 if cell == "" else schema.level_index(var, cell)
+                    for var, cell in enumerate(row[pos : pos + n_cat])
+                ]
                 pos += n_cat
                 sent_cells = row[pos : pos + s_len]
                 pos += s_len
                 if not sent_cells or "" in sent_cells:
                     if any(sent_cells):
                         raise BadSentiment(f"{path}:{lineno}: partial sentiment sequence")
-                    sentiment = None
+                    sent = absent
                 else:
-                    sentiment = tuple(map(float, sent_cells))
+                    sent = list(map(float, sent_cells))
                     # a NaN or inf makes the sum non-finite; min and max alone miss a NaN
-                    lo, hi = min(sentiment), max(sentiment)
-                    if not (math.isfinite(sum(sentiment)) and -1.0 <= lo and hi <= 1.0):
+                    lo, hi = min(sent), max(sent)
+                    if not (math.isfinite(sum(sent)) and -1.0 <= lo and hi <= 1.0):
                         raise BadSentiment(f"deal {deal_id}: sentiment value outside [-1, 1]")
                 label = int(row[pos])
             except ValueError:
@@ -199,10 +283,24 @@ def load_deals_csv(path, schema: DatasetSchema) -> list:
                 ) from None
             if label not in (0, 1):
                 raise MalformedRow(f"{path}:{lineno}: label must be 0 or 1")
-            records.append(
-                DealRecord(deal_id, date, numeric, tuple(categorical), sentiment, label)
-            )
-    return records
+            ids.append(deal_id)
+            dates.append(date)
+            numeric.extend(num)
+            codes.append(cat)
+            sentiment.extend(sent)
+            has_sentiment.append(sent is not absent)
+            labels.append(label)
+    n = len(ids)
+    return DealFrame(
+        schema=schema,
+        deal_ids=np.array(ids, dtype=object),
+        dates=np.array(dates, dtype=np.int64),
+        numeric=np.frombuffer(numeric, dtype=np.float64).reshape(n, n_num),
+        codes=np.array(codes, dtype=np.int64).reshape(n, n_cat),
+        sentiment=np.frombuffer(sentiment, dtype=np.float64).reshape(n, s_len),
+        has_sentiment=np.array(has_sentiment, dtype=bool),
+        labels=np.array(labels, dtype=np.int64),
+    )
 
 
 def write_deals_csv(path, deals, schema: DatasetSchema) -> None:
@@ -226,18 +324,24 @@ def write_deals_csv(path, deals, schema: DatasetSchema) -> None:
 
 
 def temporal_split(deals, spec: SplitSpec):
-    """Partition by announce date; input order preserved within each side."""
+    """Partition by announce date; input order preserved within each side.
+
+    A frame splits into two frames, a sequence of records into two lists.
+    """
+    frame = isinstance(deals, DealFrame)
+    dates = deals.dates if frame else np.array([r.announce_date.toordinal() for r in deals])
     if spec.cutoff_date is not None:
-        in_train = [r.announce_date < spec.cutoff_date for r in deals]
+        in_train = dates < spec.cutoff_date.toordinal()
     else:
         n_train = int(round(spec.train_fraction_override * len(deals)))
-        order = sorted(range(len(deals)), key=lambda i: (deals[i].announce_date, i))
-        in_train = [False] * len(deals)
-        for i in order[:n_train]:
-            in_train[i] = True
-    train = [r for r, keep in zip(deals, in_train) if keep]
-    test = [r for r, keep in zip(deals, in_train) if not keep]
-    if not train or not test:
+        in_train = np.zeros(len(deals), dtype=bool)
+        in_train[np.argsort(dates, kind="stable")[:n_train]] = True
+    if frame:
+        train, test = deals[in_train], deals[~in_train]
+    else:
+        train = [r for r, keep in zip(deals, in_train) if keep]
+        test = [r for r, keep in zip(deals, in_train) if not keep]
+    if not len(train) or not len(test):
         raise EmptySide(f"split produced sizes ({len(train)}, {len(test)})")
     return train, test
 
@@ -312,26 +416,12 @@ class GeneratorConfig:
         )
 
     def to_json(self) -> dict:
-        doc = {
-            "n_deals": self.n_deals,
-            "cancel_rate": self.cancel_rate,
-            "n_numeric": self.n_numeric,
-            "n_categorical": self.n_categorical,
-            "levels_per_categorical": (
-                self.levels_per_categorical
-                if isinstance(self.levels_per_categorical, int)
-                else list(self.levels_per_categorical)
-            ),
-            "sentiment_length": self.sentiment_length,
-            "missing_rate": self.missing_rate,
-            "signal_strength": self.signal_strength,
-            "sentiment_signal": self.sentiment_signal,
-            "numeric_rank": self.numeric_rank,
-            "date_start": self.date_start.isoformat(),
-            "date_end": self.date_end.isoformat(),
-            "cutoff_date": None if self.cutoff_date is None else self.cutoff_date.isoformat(),
-            "n_before_cutoff": self.n_before_cutoff,
-        }
+        doc = dataclasses.asdict(self)
+        for key in ("date_start", "date_end", "cutoff_date"):
+            if doc[key] is not None:
+                doc[key] = doc[key].isoformat()
+        if not isinstance(self.levels_per_categorical, int):
+            doc["levels_per_categorical"] = list(self.levels_per_categorical)
         return doc
 
     @classmethod
@@ -435,64 +525,26 @@ def generate_synthetic(config: GeneratorConfig, seed: int) -> list:
     miss_num = rng.random((n, config.n_numeric)) < config.missing_rate
     miss_cat = rng.random((n, config.n_categorical)) < config.missing_rate
 
-    records = []
-    for i in range(n):
-        num = tuple(
-            None if miss_num[i, j] else float(numeric[i, j]) for j in range(config.n_numeric)
-        )
-        cat = tuple(
-            None if miss_cat[i, v] else levels[v][cat_draws[i, v]]
-            for v in range(config.n_categorical)
-        )
-        sent = None if paths is None else tuple(float(x) for x in paths[i])
-        records.append(
-            DealRecord(
-                deal_id=f"deal_{i:06d}",
-                announce_date=dt.date.fromordinal(int(ordinals[i])),
-                numeric=num,
-                categorical=cat,
-                sentiment=sent,
-                label=int(labels[i]),
-            )
-        )
-    return records
-
-
-# -- array views ---------------------------------------------------------------
-
-
-def numeric_matrix(deals, schema: DatasetSchema) -> np.ndarray:
-    """(n, n_numeric) float matrix with NaN for missing cells."""
-    out = np.full((len(deals), schema.n_numeric), np.nan)
-    for i, r in enumerate(deals):
-        for j, v in enumerate(r.numeric):
-            if v is not None:
-                out[i, j] = v
-    return out
-
-
-def categorical_codes(deals, schema: DatasetSchema) -> np.ndarray:
-    """(n, n_categorical) int codes; -1 for missing."""
-    out = np.full((len(deals), schema.n_categorical), -1, dtype=np.int64)
-    for i, r in enumerate(deals):
-        for v, label in enumerate(r.categorical):
-            if label is not None:
-                out[i, v] = schema.level_index(v, label)
-    return out
+    frame = DealFrame(
+        schema=config.schema(),
+        deal_ids=np.array([f"deal_{i:06d}" for i in range(n)], dtype=object),
+        dates=ordinals.astype(np.int64),
+        numeric=np.where(miss_num, np.nan, numeric),
+        codes=np.where(miss_cat, -1, cat_draws),
+        sentiment=np.empty((n, 0)) if paths is None else paths,
+        has_sentiment=np.full(n, paths is not None),
+        labels=labels,
+    )
+    return list(frame)
 
 
 def sentiment_matrix(deals, schema: DatasetSchema) -> np.ndarray:
-    """(n, sentiment_length) matrix; raises if any deal lacks a sequence."""
-    out = np.empty((len(deals), schema.sentiment_length))
-    for i, r in enumerate(deals):
-        if r.sentiment is None:
-            raise MissingSentiment(f"deal {r.deal_id} has no sentiment sequence")
-        out[i] = r.sentiment
-    return out
-
-
-def labels_vector(deals) -> np.ndarray:
-    return np.array([r.label for r in deals], dtype=np.float64)
+    """(n, sentiment_length) sentiment block; raises if any deal lacks a sequence."""
+    frame = DealFrame.of(deals, schema)
+    absent = np.flatnonzero(~frame.has_sentiment)
+    if absent.size:
+        raise MissingSentiment(f"deal {frame.deal_ids[absent[0]]} has no sentiment sequence")
+    return frame.sentiment
 
 
 def write_schema_json(path, schema: DatasetSchema) -> None:

@@ -33,12 +33,13 @@ may be processed in parallel without changing the result.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import kernels
-from .dataset import DatasetSchema, DealRecord, categorical_codes, numeric_matrix
+from .dataset import DatasetSchema, DealFrame
 from .errors import NoComparableRow, TooFewRows
 
 
@@ -71,8 +72,8 @@ def fit_imputer(train, schema: DatasetSchema, k: int = 5) -> ImputerModel:
     """Store scaled reference rows; no imputation happens at fit time."""
     if k < 1:
         raise TooFewRows(f"k must be >= 1, got {k}")
-    ref_num = numeric_matrix(train, schema)
-    ref_cat = categorical_codes(train, schema)
+    frame = DealFrame.of(train, schema)
+    ref_num, ref_cat = frame.numeric, frame.codes
     usable = np.isfinite(ref_num).any(axis=1).sum()
     if usable < k:
         raise TooFewRows(f"k={k} exceeds the {usable} usable reference rows")
@@ -83,12 +84,8 @@ def fit_imputer(train, schema: DatasetSchema, k: int = 5) -> ImputerModel:
     scale = np.sqrt(np.sum(centered * centered, axis=0) / denom)
     scale = np.where(np.isfinite(scale) & (scale > 0.0), scale, 1.0)
     col_mean = np.where(observed_counts > 0, col_mean_raw, np.nan)
-    modes = np.full(schema.n_categorical, -1, dtype=np.int64)
-    for v in range(schema.n_categorical):
-        observed = ref_cat[:, v][ref_cat[:, v] >= 0]
-        if observed.size:
-            counts = np.bincount(observed, minlength=len(schema.categorical_levels[v]))
-            modes[v] = int(np.argmax(counts))
+    # each variable's most frequent observed code, -1 where none is observed
+    modes = _majority_votes(ref_cat.T, np.full(schema.n_categorical, -1, dtype=np.int64))
     return ImputerModel(
         k=k,
         reference_numeric=ref_num,
@@ -100,8 +97,9 @@ def fit_imputer(train, schema: DatasetSchema, k: int = 5) -> ImputerModel:
     )
 
 
-def _neighbour_indices(model: ImputerModel, query_num: np.ndarray, rows) -> np.ndarray:
-    """k nearest reference indices per query row, ties broken by row index."""
+def _neighbour_indices(model: ImputerModel, query_num: np.ndarray, deal_ids) -> np.ndarray:
+    """k nearest reference indices per query row, ties broken by row index;
+    deal_ids name the query rows in errors."""
     ref = model.reference_numeric
     out = np.empty((query_num.shape[0], min(model.k, ref.shape[0])), dtype=np.int64)
     step = kernels.search_rows(ref.shape[0])
@@ -115,9 +113,9 @@ def _neighbour_indices(model: ImputerModel, query_num: np.ndarray, rows) -> np.n
         )
         no_overlap = ~np.isfinite(d2).any(axis=1)
         if no_overlap.any():
-            bad = rows[start + int(np.flatnonzero(no_overlap)[0])]
+            bad = deal_ids[start + int(np.flatnonzero(no_overlap)[0])]
             raise NoComparableRow(
-                f"deal {bad.deal_id} shares no observed numeric coordinate with any reference"
+                f"deal {bad} shares no observed numeric coordinate with any reference"
             )
         out[start : start + block.shape[0]] = kernels.top_k(d2, model.k)
     return out
@@ -150,21 +148,20 @@ def _majority_votes(codes: np.ndarray, fallback: np.ndarray) -> np.ndarray:
     return np.where(counts.any(axis=1), counts.argmax(axis=1), fallback)
 
 
-def impute(model: ImputerModel, deals) -> list:
-    """Fill missing cells from the k nearest references; observed cells unchanged."""
-    schema = model.schema
-    query_num = numeric_matrix(deals, schema)
-    query_cat = categorical_codes(deals, schema)
+def impute(model: ImputerModel, deals) -> DealFrame:
+    """Fill missing cells from the k nearest references; observed cells
+    unchanged.  Returns a frame: the input frame itself when nothing is
+    missing, else one with filled copies of its numeric and code columns."""
+    frame = DealFrame.of(deals, model.schema)
     incomplete = np.flatnonzero(
-        ~np.isfinite(query_num).all(axis=1) | (query_cat < 0).any(axis=1)
+        ~np.isfinite(frame.numeric).all(axis=1) | (frame.codes < 0).any(axis=1)
     )
     if incomplete.size == 0:
-        return list(deals)
+        return frame
 
-    sub = [deals[i] for i in incomplete]
-    nbrs = _neighbour_indices(model, query_num[incomplete], sub)
-    num = query_num[incomplete]
-    cat = query_cat[incomplete]
+    num = frame.numeric[incomplete]
+    cat = frame.codes[incomplete]
+    nbrs = _neighbour_indices(model, num, frame.deal_ids[incomplete])
 
     # every missing cell at once: its row's k neighbours' values in its column
     rows, cols = np.nonzero(~np.isfinite(num))
@@ -178,12 +175,7 @@ def impute(model: ImputerModel, deals) -> list:
         np.maximum(model.column_mode, 0)[cols],
     )
 
-    levels = schema.categorical_levels
-    result = list(deals)
-    for i, num_row, cat_row in zip(incomplete.tolist(), num.tolist(), cat.tolist()):
-        d = deals[i]
-        result[i] = DealRecord(
-            d.deal_id, d.announce_date, tuple(num_row),
-            tuple(levels[v][code] for v, code in enumerate(cat_row)), d.sentiment, d.label,
-        )
-    return result
+    numeric, codes = frame.numeric.copy(), frame.codes.copy()
+    numeric[incomplete] = num
+    codes[incomplete] = cat
+    return dataclasses.replace(frame, numeric=numeric, codes=codes)

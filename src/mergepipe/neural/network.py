@@ -11,6 +11,7 @@ the same spec seed, training is bitwise reproducible.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass, field
 
@@ -132,16 +133,7 @@ class TrainConfig:
             raise BadConfig("threshold must lie in [0, 1]")
 
     def to_json(self) -> dict:
-        return {
-            "epochs": self.epochs,
-            "batch_size": self.batch_size,
-            "learning_rate": self.learning_rate,
-            "beta1": self.beta1,
-            "beta2": self.beta2,
-            "adam_eps": self.adam_eps,
-            "patience": self.patience,
-            "threshold": self.threshold,
-        }
+        return dataclasses.asdict(self)
 
     @classmethod
     def from_json(cls, doc: dict) -> "TrainConfig":

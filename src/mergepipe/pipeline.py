@@ -13,7 +13,9 @@ training deals); test rows enter evaluation only.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
+import math
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -21,12 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import (
-    DatasetSchema,
-    labels_vector,
-    numeric_matrix,
-    sentiment_matrix,
-)
+from .dataset import DatasetSchema, DealFrame, sentiment_matrix
 from .errors import BadConfig, EmptySpace, MissingSentiment
 from .impute import ImputerModel, fit_imputer, impute
 from .metrics import EvalReport, evaluate
@@ -92,27 +89,10 @@ class FrameworkConfig:
                             "is configured through lstm_width")
 
     def to_json(self) -> dict:
-        return {
-            "framework": self.framework,
-            "network": self.network.to_json(),
-            "pca_dims": self.pca_dims,
-            "mca_dims": self.mca_dims,
-            "embedding_dim": self.embedding_dim,
-            "autoencoder_hidden": self.autoencoder_hidden,
-            "autoencoder_epochs": self.autoencoder_epochs,
-            "lstm_width": self.lstm_width,
-            "use_smote": self.use_smote,
-            "smote": {
-                "k_neighbors": self.smote.k_neighbors,
-                "target_ratio": self.smote.target_ratio,
-                "seed": self.smote.seed,
-            },
-            "impute_k": self.impute_k,
-            "train": self.train.to_json(),
-            "objective": self.objective,
-            "validation_fraction": self.validation_fraction,
-            "seed": self.seed,
-        }
+        doc = {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
+        doc.update(network=self.network.to_json(), smote=dataclasses.asdict(self.smote),
+                   train=self.train.to_json())
+        return doc
 
     @classmethod
     def from_json(cls, doc: dict) -> "FrameworkConfig":
@@ -169,35 +149,32 @@ class FittedPipeline:
             self._network = DenseNet(spec, input_dim=self.feature_width)
         return self._network
 
-    def tabular_features(self, deals_imputed) -> np.ndarray:
-        numeric = numeric_matrix(deals_imputed, self.schema)
-        pca_scores = pca_transform(self.pca, numeric)
-        onehot = one_hot_encode(deals_imputed, self.schema)
+    def tabular_features(self, imputed: DealFrame) -> np.ndarray:
+        pca_scores = pca_transform(self.pca, imputed.numeric)
+        onehot = one_hot_encode(imputed, self.schema)
         mca_scores = mca_transform(self.mca, onehot[:, self.kept_onehot_cols])
         return np.hstack([pca_scores, mca_scores])
 
     def features(self, deals):
-        """Imputed + reduced model inputs for raw deal records."""
-        return self.features_from_imputed(impute(self.imputer, deals))
-
-    def features_from_imputed(self, deals_imputed):
-        """Reduced model inputs for deal records that are already imputed."""
-        tabular = self.tabular_features(deals_imputed)
+        """Imputed + reduced model inputs for raw deals (a frame or records)."""
+        imputed = impute(self.imputer, deals)
+        tabular = self.tabular_features(imputed)
         if self.config.framework == "f1":
             return (tabular,)
-        sequences = sentiment_matrix(deals_imputed, self.schema)
+        sequences = sentiment_matrix(imputed, self.schema)
         if self.config.framework == "f2":
             embedding = autoencoder_encode(self.autoencoder, sequences)
             return (np.hstack([tabular, embedding]),)
         return (tabular, sequences)
 
     def scores(self, deals) -> np.ndarray:
+        deals = DealFrame.of(deals, self.schema)
         q, _ = self._model().forward_batch(self.params, self.features(deals))
         return q
 
     def evaluate_on(self, deals) -> EvalReport:
-        imputed = impute(self.imputer, deals)
-        return self._report_on_inputs(labels_vector(imputed), self.features_from_imputed(imputed))
+        deals = DealFrame.of(deals, self.schema)
+        return self._report_on_inputs(deals.labels.astype(np.float64), self.features(deals))
 
     def _report_on_inputs(self, labels, inputs) -> EvalReport:
         """Report on rows whose model inputs are already built."""
@@ -231,17 +208,15 @@ def _finite_or_none(values: np.ndarray) -> list:
     return np.where(np.isfinite(values), values, None).tolist()
 
 
-def _validation_split(deals, fraction: float):
+def _validation_split(dates: np.ndarray, fraction: float):
     """Most recent `fraction` of rows by announce date become the validation
     slice; ties broken by input position."""
-    n = len(deals)
+    n = len(dates)
     n_valid = max(1, int(round(fraction * n)))
     if n_valid >= n:
         raise BadConfig("validation slice would consume all training rows")
-    order = sorted(range(n), key=lambda i: (deals[i].announce_date, i))
-    valid_idx = np.array(sorted(order[n - n_valid :]), dtype=np.int64)
-    fit_idx = np.array(sorted(order[: n - n_valid]), dtype=np.int64)
-    return fit_idx, valid_idx
+    order = np.argsort(dates, kind="stable")
+    return np.sort(order[: n - n_valid]), np.sort(order[n - n_valid :])
 
 
 def fit_pipeline(train_deals, schema: DatasetSchema, config: FrameworkConfig) -> FittedPipeline:
@@ -257,6 +232,7 @@ def _fit(train_deals, schema, config, class_weighted: bool):
     class_weighted (set only by fit_logit) trains with inverse-frequency
     sample weights on the un-resampled fit rows, in place of SMOTE even when
     the config enables it."""
+    train_deals = DealFrame.of(train_deals, schema)
     if config.framework in ("f2", "f3"):
         if schema.sentiment_length == 0:
             raise MissingSentiment("schema carries no sentiment columns")
@@ -267,9 +243,8 @@ def _fit(train_deals, schema, config, class_weighted: bool):
     imputer = fit_imputer(train_deals, schema, k=config.impute_k)
     train_imputed = impute(imputer, train_deals)
 
-    numeric = numeric_matrix(train_imputed, schema)
     pca_dims = min(config.pca_dims, schema.n_numeric)
-    pca = pca_fit(numeric, pca_dims)
+    pca = pca_fit(train_imputed.numeric, pca_dims)
 
     onehot = one_hot_encode(train_imputed, schema)
     kept = np.flatnonzero(onehot.sum(axis=0) > 0.0)
@@ -303,8 +278,8 @@ def _fit(train_deals, schema, config, class_weighted: bool):
     )
 
     tabular = partial.tabular_features(train_imputed)
-    y = labels_vector(train_imputed)
-    fit_idx, valid_idx = _validation_split(train_imputed, config.validation_fraction)
+    y = train_imputed.labels.astype(np.float64)
+    fit_idx, valid_idx = _validation_split(train_imputed.dates, config.validation_fraction)
     fit_y = y[fit_idx]
 
     if config.framework == "f3":
@@ -443,25 +418,19 @@ def _trial_seed(seed: int, index: int) -> int:
 
 def _enumerate_grid(space: dict):
     keys = sorted(space)
-    def rec(i):
-        if i == len(keys):
-            yield {}
-            return
-        for value in space[keys[i]]:
-            for rest in rec(i + 1):
-                yield {keys[i]: value, **rest}
-    yield from rec(0)
+    for values in itertools.product(*(space[k] for k in keys)):
+        yield dict(zip(keys, values))
 
 
 def _sample_overrides(space: dict, budget: int, seed: int, strategy: str):
     if strategy not in ("grid", "random"):
         raise BadConfig(f"unknown search strategy {strategy!r}")
+    if not isinstance(space, dict) or not all(isinstance(v, (list, tuple)) for v in space.values()):
+        raise BadConfig("the search space must map config paths to lists of candidates")
     keys = sorted(space)
     if not keys or any(len(space[k]) == 0 for k in keys):
         raise EmptySpace("every space entry needs at least one candidate")
-    total = 1
-    for k in keys:
-        total *= len(space[k])
+    total = math.prod(len(space[k]) for k in keys)
     if strategy == "grid" or budget >= total:
         return list(_enumerate_grid(space))[:budget]
     rng = np.random.default_rng(seed)
@@ -502,6 +471,7 @@ def hyper_search(
     if objective not in OBJECTIVES:
         raise BadConfig(f"objective must be one of {OBJECTIVES}")
     overrides = _sample_overrides(space, budget, seed, strategy)
+    train_deals = DealFrame.of(train_deals, schema)
 
     def run_trial(index_and_overrides):
         index, over = index_and_overrides

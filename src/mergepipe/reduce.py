@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import DatasetSchema
+from .dataset import DatasetSchema, DealFrame
 from .errors import DegenerateData, EmptyLevel, MissingCell, ShapeMismatch
 
 
@@ -28,17 +28,16 @@ def one_hot_offsets(schema: DatasetSchema) -> dict:
 
 def one_hot_encode(deals, schema: DatasetSchema) -> np.ndarray:
     """Indicator matrix with one 1 per categorical variable block per row."""
+    frame = DealFrame.of(deals, schema)
+    if (frame.codes < 0).any():
+        i, v = np.argwhere(frame.codes < 0)[0]
+        raise MissingCell(
+            f"deal {frame.deal_ids[i]}: missing {schema.categorical_names[v]!r}; impute first"
+        )
+    starts = np.array([start for start, _ in one_hot_offsets(schema).values()], dtype=np.int64)
     width = sum(len(l) for l in schema.categorical_levels)
-    out = np.zeros((len(deals), width), dtype=np.float64)
-    offsets = one_hot_offsets(schema)
-    for i, r in enumerate(deals):
-        for v, label in enumerate(r.categorical):
-            if label is None:
-                raise MissingCell(
-                    f"deal {r.deal_id}: missing {schema.categorical_names[v]!r}; impute first"
-                )
-            start, _ = offsets[schema.categorical_names[v]]
-            out[i, start + schema.level_index(v, label)] = 1.0
+    out = np.zeros((len(frame), width), dtype=np.float64)
+    out[np.arange(len(frame))[:, None], starts + frame.codes] = 1.0
     return out
 
 

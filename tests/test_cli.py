@@ -93,6 +93,16 @@ class TestGenerate:
         ) == 2
 
 
+    @pytest.mark.parametrize("doc", [[1, 2], "gen", 3])
+    def test_config_not_an_object_exit_2(self, tmp_path, capsys, doc):
+        cfg = tmp_path / "gen.json"
+        write_json(cfg, doc)
+        assert main(
+            ["generate", "--config", str(cfg), "--seed", "1", "--out", str(tmp_path / "x.csv")]
+        ) == 2
+        assert f"bad generator config: {cfg} is not a JSON object" in capsys.readouterr().err
+
+
 class TestRun:
     def test_framework_run_writes_reports(self, deals_csv, tmp_path):
         run_cfg = tmp_path / "run.json"
@@ -223,6 +233,30 @@ class TestRun:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("doc", [[1, 2], {**RUN_CONFIG, "split": [0.8]}])
+    def test_config_not_an_object_exit_2(self, deals_csv, tmp_path, capsys, doc):
+        run_cfg = tmp_path / "run.json"
+        write_json(run_cfg, doc)
+        code = main(
+            ["run", "--framework", "f1", "--data", str(deals_csv),
+             "--config", str(run_cfg), "--out-dir", str(tmp_path / "bad")]
+        )
+        assert code == 2
+        assert "is not a JSON object" in capsys.readouterr().err
+
+    def test_out_dir_is_a_file_exit_1(self, deals_csv, tmp_path, capsys):
+        run_cfg = tmp_path / "run.json"
+        write_json(run_cfg, RUN_CONFIG)
+        taken = tmp_path / "taken"
+        taken.write_text("not a directory\n")
+        code = main(
+            ["run", "--framework", "f1", "--data", str(deals_csv),
+             "--config", str(run_cfg), "--out-dir", str(taken)]
+        )
+        assert code == 1
+        assert "mergepipe: error: cannot write artifacts:" in capsys.readouterr().err
+        assert taken.read_text() == "not a directory\n"
+
     def test_requires_framework_xor_baseline(self, deals_csv, tmp_path):
         assert main(["run", "--data", str(deals_csv), "--out-dir", str(tmp_path / "x")]) == 2
 
@@ -306,3 +340,35 @@ class TestSearch:
              "--budget", "2", "--out-dir", str(tmp_path / "s")]
         )
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ([1, 2], "cannot load inputs"),
+            ({"base": [1, 2], "space": SPACE["space"]}, "search base is not a JSON object"),
+            ({"base": RUN_CONFIG, "space": [1, 2]}, "lists of candidates"),
+            ({"base": RUN_CONFIG, "space": {"train.learning_rate": 0.1}}, "lists of candidates"),
+        ],
+    )
+    def test_space_not_an_object_exit_2(self, deals_csv, tmp_path, capsys, doc, message):
+        space = tmp_path / "space.json"
+        write_json(space, doc)
+        code = main(
+            ["search", "--data", str(deals_csv), "--space", str(space),
+             "--budget", "2", "--out-dir", str(tmp_path / "s")]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("mergepipe: error: ") and message in err
+
+    def test_out_dir_is_a_file_exit_1(self, deals_csv, tmp_path, capsys):
+        space = tmp_path / "space.json"
+        write_json(space, {**SPACE, "space": {"train.learning_rate": [0.02]}})
+        taken = tmp_path / "taken"
+        taken.write_text("not a directory\n")
+        code = main(
+            ["search", "--data", str(deals_csv), "--space", str(space),
+             "--budget", "1", "--out-dir", str(taken)]
+        )
+        assert code == 1
+        assert "mergepipe: error: cannot write artifacts:" in capsys.readouterr().err

@@ -1,15 +1,21 @@
 import datetime as dt
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mergepipe.dataset import (
     DatasetSchema,
+    DealFrame,
     DealRecord,
     GeneratorConfig,
     SplitSpec,
     generate_synthetic,
     load_deals_csv,
+    sentiment_matrix,
     temporal_split,
     write_deals_csv,
 )
@@ -19,6 +25,7 @@ from mergepipe.errors import (
     DuplicateId,
     EmptySide,
     MalformedRow,
+    MissingSentiment,
     UnknownCategory,
 )
 
@@ -269,3 +276,107 @@ class TestGenerator:
             levels_per_categorical=(2, 3, 2, 4),
         )
         assert GeneratorConfig.from_json(cfg.to_json()) == cfg
+
+
+FRAME_SCHEMA = DatasetSchema(
+    numeric_names=("n0", "n1", "n2"),
+    categorical_names=("c0", "c1"),
+    categorical_levels=(("X", "Y", "Z"), ("P", "Q")),
+    sentiment_length=3,
+)
+
+
+@st.composite
+def deal_lists(draw):
+    """Records of FRAME_SCHEMA with random missing cells, paths and dates."""
+    cell = st.none() | st.floats(allow_nan=False, allow_infinity=False)
+    deals = []
+    for i in range(draw(st.integers(0, 12))):
+        deals.append(DealRecord(
+            deal_id=f"d{i}",
+            announce_date=draw(st.dates(dt.date(1990, 1, 1), dt.date(2030, 12, 31))),
+            numeric=tuple(draw(cell) for _ in FRAME_SCHEMA.numeric_names),
+            categorical=tuple(
+                draw(st.none() | st.sampled_from(levels))
+                for levels in FRAME_SCHEMA.categorical_levels
+            ),
+            sentiment=draw(st.none() | st.tuples(*[st.floats(-1.0, 1.0)] * 3)),
+            label=draw(st.integers(0, 1)),
+        ))
+    return deals
+
+
+class TestDealFrame:
+    @settings(max_examples=80, deadline=None)
+    @given(deal_lists())
+    def test_rows_and_csv_round_trip(self, deals):
+        frame = DealFrame.of(deals, FRAME_SCHEMA)
+        assert list(frame) == deals
+        assert frame == deals and deals == frame
+        assert DealFrame.of(frame, FRAME_SCHEMA) is frame
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "deals.csv"
+            write_deals_csv(path, deals, FRAME_SCHEMA)
+            again = load_deals_csv(path, FRAME_SCHEMA)
+        assert isinstance(again, DealFrame)
+        assert list(again) == deals
+
+    @settings(max_examples=80, deadline=None)
+    @given(deal_lists(), st.data())
+    def test_take_matches_list_indexing(self, deals, data):
+        frame = DealFrame.of(deals, FRAME_SCHEMA)
+        n = len(deals)
+        positions = data.draw(st.lists(st.integers(0, max(n - 1, 0)), max_size=8)) if n else []
+        mask = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+        start, stop = data.draw(st.integers(-n - 1, n + 1)), data.draw(st.integers(-n - 1, n + 1))
+        assert list(frame[np.array(positions, dtype=np.int64)]) == [deals[i] for i in positions]
+        assert list(frame[np.array(mask, dtype=bool)]) == [d for d, m in zip(deals, mask) if m]
+        assert list(frame[start:stop]) == deals[start:stop]
+        for i in positions:
+            assert frame[np.int64(i)] == deals[i]
+            assert frame[i - n] == deals[i - n]
+        with pytest.raises(IndexError):
+            frame[n]
+
+    def test_columns(self):
+        deals = [
+            DealRecord("a", dt.date(2015, 1, 2), (1.5, None, 3.0), ("Z", None), None, 1),
+            DealRecord(
+                "b", dt.date(2016, 3, 4), (None, 2.0, 0.5), (None, "Q"), (0.1, -0.2, 1.0), 0
+            ),
+        ]
+        frame = DealFrame.of(deals, FRAME_SCHEMA)
+        np.testing.assert_array_equal(frame.numeric, [[1.5, np.nan, 3.0], [np.nan, 2.0, 0.5]])
+        np.testing.assert_array_equal(frame.codes, [[2, -1], [-1, 1]])
+        np.testing.assert_array_equal(frame.has_sentiment, [False, True])
+        np.testing.assert_array_equal(frame.sentiment[1], [0.1, -0.2, 1.0])
+        assert np.isnan(frame.sentiment[0]).all()
+        np.testing.assert_array_equal(frame.labels, [1, 0])
+        assert list(frame.deal_ids) == ["a", "b"]
+        assert frame.dates.tolist() == [d.announce_date.toordinal() for d in deals]
+
+    def test_unknown_category_rejected(self):
+        deal = DealRecord("a", dt.date(2015, 1, 2), (1.0, 2.0, 3.0), ("W", None), None, 0)
+        with pytest.raises(UnknownCategory, match="label 'W' not admissible for 'c0'"):
+            DealFrame.of([deal], FRAME_SCHEMA)
+
+    def test_sentiment_matrix_names_first_deal_without_a_path(self):
+        deals = [
+            DealRecord(name, dt.date(2015, 1, 2), (1.0, 2.0, 3.0), ("X", "P"), path, 0)
+            for name, path in (("a", (0.1, 0.2, 0.3)), ("b", None), ("c", None))
+        ]
+        with pytest.raises(MissingSentiment, match="deal b has no sentiment sequence"):
+            sentiment_matrix(deals, FRAME_SCHEMA)
+        np.testing.assert_array_equal(sentiment_matrix(deals[:1], FRAME_SCHEMA), [[0.1, 0.2, 0.3]])
+
+    @pytest.mark.parametrize(
+        "spec", [SplitSpec(cutoff_date=dt.date(2015, 1, 1)), SplitSpec(train_fraction_override=0.7)]
+    )
+    def test_split_returns_the_kind_it_was_given(self, spec):
+        cfg = GeneratorConfig(n_deals=60, missing_rate=0.2, sentiment_length=3)
+        deals = generate_synthetic(cfg, seed=5)
+        frame = DealFrame.of(deals, cfg.schema())
+        train, test = temporal_split(deals, spec)
+        frame_train, frame_test = temporal_split(frame, spec)
+        assert isinstance(train, list) and isinstance(frame_train, DealFrame)
+        assert frame_train == train and frame_test == test

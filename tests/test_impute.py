@@ -10,11 +10,10 @@ from hypothesis import strategies as st
 from mergepipe import kernels
 from mergepipe.dataset import (
     DatasetSchema,
+    DealFrame,
     DealRecord,
     GeneratorConfig,
-    categorical_codes,
     generate_synthetic,
-    numeric_matrix,
 )
 from mergepipe.errors import NoComparableRow, TooFewRows
 from mergepipe.impute import _neighbour_indices, fit_imputer, impute
@@ -254,8 +253,8 @@ def impute_loops(model, deals):
     ``vals.mean()`` and one ``bincount(...).argmax()`` per missing cell.
     Returns the filled records and how often each fallback was taken."""
     schema = model.schema
-    query_num = numeric_matrix(deals, schema)
-    query_cat = categorical_codes(deals, schema)
+    frame = DealFrame.of(deals, schema)
+    query_num, query_cat = frame.numeric, frame.codes
     incomplete = np.flatnonzero(
         ~np.isfinite(query_num).all(axis=1) | (query_cat < 0).any(axis=1)
     )
@@ -263,7 +262,7 @@ def impute_loops(model, deals):
     result = list(deals)
     if incomplete.size == 0:
         return result, used
-    nbrs = _neighbour_indices(model, query_num[incomplete], [deals[i] for i in incomplete])
+    nbrs = _neighbour_indices(model, query_num[incomplete], frame.deal_ids[incomplete])
     for row, i in enumerate(incomplete):
         nb_num = model.reference_numeric[nbrs[row]]
         nb_cat = model.reference_categorical[nbrs[row]]
