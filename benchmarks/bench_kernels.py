@@ -2,10 +2,10 @@
 
 Masked distance: the numpy gram-trick build at the block shape the
 imputation search runs (``kernels.search_rows(4000)`` query rows against the
-4000 x 20 reference matrix of a fitted f1 model, reference terms prepared
-once) and at the serving shapes score-stream runs (1 and 64 query rows
-against the same references), there with the reference-side terms prepared
-on every call and once, as ``ImputerModel`` holds them.  SMOTE: the
+4000 x 20 reference matrix of a fitted f1 model, reference block prepared
+once) and at the serving shapes score-stream runs (1, 8 and 64 query rows
+against the same references), there with the packed reference block
+prepared on every call and once, as ``ImputerModel`` holds it.  SMOTE: the
 neighbour table of the 720 minority rows x 40 features an f1 paper-shape fit
 oversamples.  LSTM: the two cells the seq-small workload runs at T=121,
 batch 64 -- the f3 classifier's tanh cell with hidden 8 and the f2
@@ -69,8 +69,8 @@ def bench_masked_sqdist(n_refs, n_cols, repeat):
     return [("one search block", timeit(block, repeat))]
 
 
-# (query rows, reference rows, columns) of score-stream's 1- and 64-deal requests
-SERVING_SHAPES = ((1, 4000, 20), (64, 4000, 20))
+# (query rows, reference rows, columns) of score-stream's 1-, 8- and 64-deal requests
+SERVING_SHAPES = ((1, 4000, 20), (8, 4000, 20), (64, 4000, 20))
 
 
 def bench_masked_sqdist_serving(repeat):

@@ -100,7 +100,7 @@ def cmd_generate(args) -> int:
     try:
         doc = _read_json(Path(args.config))
         config = GeneratorConfig.from_json(doc)
-    except FileNotFoundError as exc:
+    except OSError as exc:
         return _die(1, str(exc))
     except json.JSONDecodeError as exc:
         return _die(2, f"config is not valid JSON: {exc}")
@@ -156,7 +156,7 @@ def cmd_run(args) -> int:
         return _die(2, "choose one of --framework / --baseline / --preset")
     try:
         deals, schema = _load_dataset(args)
-    except FileNotFoundError as exc:
+    except OSError as exc:
         return _die(1, str(exc))
     except MergepipeError as exc:
         return _die(2, f"cannot load data: {exc}")
@@ -181,7 +181,7 @@ def cmd_run(args) -> int:
                 config = FrameworkConfig.from_json(config_doc)
         if args.seed is not None:
             config = dataclasses.replace(config, seed=args.seed)
-    except FileNotFoundError as exc:
+    except OSError as exc:
         return _die(1, str(exc))
     except json.JSONDecodeError as exc:
         return _die(2, f"config is not valid JSON: {exc}")
@@ -249,7 +249,7 @@ def cmd_search(args) -> int:
     try:
         deals, schema = _load_dataset(args)
         space_doc = _read_json(Path(args.space))
-    except FileNotFoundError as exc:
+    except OSError as exc:
         return _die(1, str(exc))
     except (MergepipeError, json.JSONDecodeError) as exc:
         return _die(2, f"cannot load inputs: {exc}")

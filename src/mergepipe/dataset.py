@@ -8,7 +8,7 @@ import datetime as dt
 import json
 import math
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -50,6 +50,8 @@ class DatasetSchema:
     categorical_names: tuple
     categorical_levels: tuple  # tuple of level tuples, aligned with names
     sentiment_length: int = SENTIMENT_LENGTH
+    # per variable {label: code}, derived from categorical_levels once per schema
+    level_codes: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         names = list(self.numeric_names) + list(self.categorical_names)
@@ -62,6 +64,9 @@ class DatasetSchema:
                 raise BadConfig(f"categorical variable {name!r} has no levels")
         if self.sentiment_length < 0:
             raise BadConfig("sentiment_length must be >= 0")
+        codes = tuple({label: levels.index(label) for label in levels}
+                      for levels in self.categorical_levels)
+        object.__setattr__(self, "level_codes", codes)
 
     @property
     def n_numeric(self) -> int:
@@ -73,8 +78,8 @@ class DatasetSchema:
 
     def level_index(self, var: int, label: str) -> int:
         try:
-            return self.categorical_levels[var].index(label)
-        except ValueError:
+            return self.level_codes[var][label]
+        except KeyError:
             raise UnknownCategory(
                 f"label {label!r} not admissible for {self.categorical_names[var]!r}"
             ) from None
@@ -128,10 +133,19 @@ class DealFrame:
             return deals
         n = len(deals)
         absent = (np.nan,) * schema.sentiment_length
-        codes = [
-            [-1 if c is None else schema.level_index(v, c) for v, c in enumerate(r.categorical)]
-            for r in deals
-        ]
+        lookup = schema.level_codes
+        try:
+            codes = [
+                [-1 if c is None else lookup[v][c] for v, c in enumerate(r.categorical)]
+                for r in deals
+            ]
+        except KeyError:
+            # level_index names the first label no level admits
+            for r in deals:
+                for v, c in enumerate(r.categorical):
+                    if c is not None:
+                        schema.level_index(v, c)
+            raise
         return cls(
             schema=schema,
             deal_ids=np.array([r.deal_id for r in deals], dtype=object),

@@ -16,9 +16,10 @@ O(n_query x n_ref) or O(block x n_ref).
 
 The reference side of the distance depends on the fitted model alone, so
 ``ImputerModel`` prepares it once, when it is constructed: the observed
-mask, 1 / numeric_scale and ``kernels.prepare_reference``'s float mask,
-scaled zero-filled values and their square, about 3 x n_ref x D extra
-floats.  Every ``impute`` call passes them to ``kernels.masked_sqdist``.
+mask, 1 / numeric_scale and ``kernels.prepare_reference``'s (3D, n_ref)
+block packing the float mask, scaled zero-filled values and their squares,
+about 3 x n_ref x D extra floats.  Every ``impute`` call passes them to
+``kernels.masked_sqdist``, which takes one matrix product with the block.
 
 Missing cells of all incomplete rows are filled at once with array
 operations, bit-identical to a per-cell ``vals.mean()`` over the finite
@@ -54,10 +55,10 @@ class ImputerModel:
     schema: DatasetSchema
     # reference side of every distance call, derived from the fields above
     # once per model: observed mask, 1 / numeric_scale and
-    # kernels.prepare_reference's (float mask, scaled values, their square)
+    # kernels.prepare_reference's packed (3D, n_ref) block
     reference_observed: np.ndarray = field(init=False, repr=False, compare=False)
     inv_scale: np.ndarray = field(init=False, repr=False, compare=False)
-    reference_terms: tuple = field(init=False, repr=False, compare=False)
+    reference_terms: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         observed = np.isfinite(self.reference_numeric)
@@ -165,15 +166,17 @@ def impute(model: ImputerModel, deals) -> DealFrame:
 
     # every missing cell at once: its row's k neighbours' values in its column
     rows, cols = np.nonzero(~np.isfinite(num))
-    fallback = np.where(np.isfinite(model.column_mean), model.column_mean, 0.0)
-    num[rows, cols] = _neighbour_means(
-        model.reference_numeric[nbrs[rows], cols[:, None]], fallback[cols]
-    )
+    if rows.size:
+        fallback = np.where(np.isfinite(model.column_mean), model.column_mean, 0.0)
+        num[rows, cols] = _neighbour_means(
+            model.reference_numeric[nbrs[rows], cols[:, None]], fallback[cols]
+        )
     rows, cols = np.nonzero(cat < 0)
-    cat[rows, cols] = _majority_votes(
-        model.reference_categorical[nbrs[rows], cols[:, None]],
-        np.maximum(model.column_mode, 0)[cols],
-    )
+    if rows.size:
+        cat[rows, cols] = _majority_votes(
+            model.reference_categorical[nbrs[rows], cols[:, None]],
+            np.maximum(model.column_mode, 0)[cols],
+        )
 
     numeric, codes = frame.numeric.copy(), frame.codes.copy()
     numeric[incomplete] = num

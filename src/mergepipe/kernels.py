@@ -3,14 +3,14 @@
 Two inner loops dominate pipeline runtime: neighbour searches (masked
 pairwise distances for imputation, plain ones for SMOTE) and LSTM
 forward/backward sweeps over 121-step sequences.  Each kernel has one numpy
-build.  The masked distance is the BLAS-backed gram-trick formulation,
-computed in one pass over the query rows it is given into one output and one
-scratch block.  Its reference-side terms (float mask, scaled zero-filled
-values and their square) depend only on the references, so
-``prepare_reference`` builds them once and a caller that scores many query
-sets, like the imputer, passes them in; that costs about 3 x n_ref x D extra
-floats.  ``_masked_sqdist_loops`` stays as the plain-loop reference the
-tests compare it against.
+build.  The masked distance is the BLAS-backed gram-trick formulation.  Its
+reference-side terms (float mask, scaled zero-filled values and their
+squares) depend only on the references, so ``prepare_reference`` packs them
+once into one C-contiguous (3D, n_ref) block, and a caller that scores many
+query sets, like the imputer, passes it in; that costs about 3 x n_ref x D
+extra floats.  Each call then takes the distances of the rows it is given as
+one matrix product of a (n_query, 3D) query block with that block, into one
+output and one scratch block of n_query x n_ref.
 
 Every neighbour search walks its query rows in blocks of
 ``search_rows(n_ref)`` rows, so one block of distances takes about
@@ -42,51 +42,37 @@ NUMBA_AVAILABLE = NUMBA_ENABLED = False
 # Pairs with d_ij = 0 get +inf.
 
 
-def _masked_sqdist_loops(qv, qm, rv, rm, inv_scale, total_cols):
-    nq, ncols = qv.shape
-    nr = rv.shape[0]
-    out = np.empty((nq, nr), dtype=np.float64)
-    for i in range(nq):
-        for j in range(nr):
-            acc = 0.0
-            shared = 0
-            for k in range(ncols):
-                if qm[i, k] and rm[j, k]:
-                    diff = (qv[i, k] - rv[j, k]) * inv_scale[k]
-                    acc += diff * diff
-                    shared += 1
-            if shared > 0:
-                out[i, j] = acc * (total_cols / shared)
-            else:
-                out[i, j] = np.inf
-    return out
-
-
 def prepare_reference(rv, rm, inv_scale):
-    """Reference-side terms of ``masked_sqdist``: (mask as float, scaled
-    zero-filled values, their square), each (n_ref, D)."""
-    ar = np.where(rm, rv * inv_scale, 0.0)
-    return rm.astype(np.float64), ar, ar * ar
+    """Reference side of ``masked_sqdist``: one C-contiguous (3D, n_ref)
+    block whose rows are the float mask, the scaled zero-filled values and
+    their squares."""
+    ncols = rv.shape[1]
+    block = np.empty((3 * ncols, rv.shape[0]))
+    block[:ncols] = rm.T
+    ar = block[ncols : 2 * ncols]
+    ar[...] = np.where(rm, rv * inv_scale, 0.0).T
+    np.multiply(ar, ar, out=block[2 * ncols :])
+    return block
 
 
 def masked_sqdist(qv, qm, rv, rm, inv_scale, total_cols, reference=None):
-    """Gram-trick build: d2 = A2q.Mr' - 2 Aq.Ar' + Mq.A2r'.
+    """Gram-trick build: d2 = A2q.Mr' - 2 Aq.Ar' + Mq.A2r' as one product of
+    the query block [A2q | -2 Aq | Mq] with the packed reference block.
 
     ``reference`` is ``prepare_reference(rv, rm, inv_scale)`` computed once
     by a caller that scores many query sets against the same references;
-    without it the terms are derived here on every call.  The products are
-    accumulated into one output and one scratch block of n_query x n_ref.
+    without it the block is built here on every call.  The shared-column
+    counts are Mq against the block's mask rows.  The result takes one output
+    and one scratch block of n_query x n_ref.
     """
-    mr, ar, a2r = prepare_reference(rv, rm, inv_scale) if reference is None else reference
-    mq = qm.astype(np.float64)
+    block = prepare_reference(rv, rm, inv_scale) if reference is None else reference
+    ncols = qv.shape[1]
     aq = np.where(qm, qv * inv_scale, 0.0)
-    d2 = np.matmul(aq * aq, mr.T)
-    scratch = np.matmul(aq, ar.T)
-    scratch *= 2.0
-    d2 -= scratch
-    d2 += np.matmul(mq, a2r.T, out=scratch)
+    query = np.concatenate((aq * aq, aq * -2.0, qm), axis=1)
+    d2 = np.matmul(query, block)
     np.maximum(d2, 0.0, out=d2)
-    shared = np.matmul(mq, mr.T, out=scratch)
+    # shared-column counts are exact small integers in any summation order
+    shared = np.matmul(query[:, 2 * ncols :], block[:ncols])
     none_shared = shared == 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
         d2 *= np.divide(total_cols, shared, out=shared)
@@ -117,12 +103,13 @@ def top_k(d2: np.ndarray, k: int) -> np.ndarray:
     """
     if k >= d2.shape[1]:
         return np.argsort(d2, axis=1, kind="stable")[:, :k]
+    rows = np.arange(d2.shape[0])[:, None]
     picked = np.argpartition(d2, k - 1, axis=1)[:, :k]
-    dist = np.take_along_axis(d2, picked, axis=1)
+    dist = d2[rows, picked]
     # sort the picked k by (distance, index); lexsort keys run last-major
     order = np.lexsort((picked, dist), axis=1)
-    picked = np.take_along_axis(picked, order, axis=1)
-    kth = np.take_along_axis(dist, order[:, -1:], axis=1)
+    picked = picked[rows, order]
+    kth = dist[rows, order[:, -1:]]
     # the picked set is the stable one unless a value equal to the k-th lies
     # outside it (a NaN k-th value counts nothing and also lands here)
     tied = np.count_nonzero(d2 <= kth, axis=1) != k
@@ -152,15 +139,9 @@ def top_k(d2: np.ndarray, k: int) -> np.ndarray:
 # or writes is one contiguous (4H, B) or (H, B) block, and the products before
 # and after the loop pair aligned (T, ., B) arrays.  No gate or state array
 # is copied into another layout; the one transposed copy is of the incoming
-# (T, B, H) dh_all, which the loop then reads contiguously.  Backward's
-# batched products read x and h_{t-1} through views, where one GEMM over all
-# T*B rows would first copy h into (H, T*B).  In forward, one GEMM would give
-# (4H, T*B) and need a transposed copy beside it, the size of the cache, and
-# np.matmul into (T, 4H, B) is T small GEMMs; with one input feature the
-# einsum is a plain product and took less than half the time of the matmul
-# (0.23 against 0.55 ms at T=121, B=64, H=5, one BLAS thread, 2-CPU Xeon).
-# hs and cs are returned as (T+1, B, H) views; the cache only means something
-# to backward.
+# (T, B, H) dh_all, which the loop then reads contiguously, and backward's
+# batched products read x and h_{t-1} through views.  hs and cs are returned
+# as (T+1, B, H) views; the cache only means something to backward.
 
 
 def lstm_forward(x, wx, wh, b, h0, c0, sigmoid_candidate):

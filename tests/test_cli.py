@@ -76,6 +76,16 @@ class TestGenerate:
         assert code == 1
         assert "nope.json" in capsys.readouterr().err
 
+    def test_config_is_a_directory_exit_1(self, tmp_path, capsys):
+        cfg = tmp_path / "gen.json"
+        cfg.mkdir()
+        code = main(
+            ["generate", "--config", str(cfg), "--seed", "1", "--out", str(tmp_path / "x.csv")]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("mergepipe: error: ") and str(cfg) in err
+
     def test_rerun_is_byte_identical(self, tmp_path):
         cfg = tmp_path / "gen.json"
         write_json(cfg, GEN_CONFIG)
@@ -257,6 +267,22 @@ class TestRun:
         assert "mergepipe: error: cannot write artifacts:" in capsys.readouterr().err
         assert taken.read_text() == "not a directory\n"
 
+    @pytest.mark.parametrize("flag", ["--config", "--data", "--schema"])
+    def test_input_is_a_directory_exit_1(self, deals_csv, tmp_path, capsys, flag):
+        run_cfg = tmp_path / "run.json"
+        write_json(run_cfg, RUN_CONFIG)
+        paths = {"--config": run_cfg, "--data": deals_csv,
+                 "--schema": deals_csv.with_suffix(".schema.json")}
+        paths[flag] = tmp_path / "a-directory"
+        paths[flag].mkdir()
+        argv = ["run", "--framework", "f1", "--out-dir", str(tmp_path / "out")]
+        for name, path in paths.items():
+            argv += [name, str(path)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("mergepipe: error: ") and str(paths[flag]) in err
+        assert not (tmp_path / "out").exists()
+
     def test_requires_framework_xor_baseline(self, deals_csv, tmp_path):
         assert main(["run", "--data", str(deals_csv), "--out-dir", str(tmp_path / "x")]) == 2
 
@@ -321,6 +347,17 @@ class TestSearch:
         assert code == 2
         err = capsys.readouterr().err
         assert f"cannot load inputs: {bad}:3: column 'num_00' cannot parse 'abc'" in err
+
+    def test_space_is_a_directory_exit_1(self, deals_csv, tmp_path, capsys):
+        space = tmp_path / "space.json"
+        space.mkdir()
+        code = main(
+            ["search", "--data", str(deals_csv), "--space", str(space),
+             "--budget", "2", "--out-dir", str(tmp_path / "s")]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("mergepipe: error: ") and str(space) in err
 
     def test_empty_space_exit_2(self, deals_csv, tmp_path):
         space = tmp_path / "space.json"

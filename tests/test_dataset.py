@@ -360,6 +360,20 @@ class TestDealFrame:
         with pytest.raises(UnknownCategory, match="label 'W' not admissible for 'c0'"):
             DealFrame.of([deal], FRAME_SCHEMA)
 
+    def test_unknown_category_in_a_later_row_rejected(self):
+        good = DealRecord("a", dt.date(2015, 1, 2), (1.0, 2.0, 3.0), ("Z", "Q"), None, 0)
+        bad = DealRecord("b", dt.date(2015, 1, 2), (1.0, 2.0, 3.0), (None, "X"), None, 0)
+        with pytest.raises(UnknownCategory, match="label 'X' not admissible for 'c1'"):
+            DealFrame.of([good, bad], FRAME_SCHEMA)
+
+    def test_level_codes_are_derived_and_not_compared(self):
+        assert FRAME_SCHEMA.level_codes == ({"X": 0, "Y": 1, "Z": 2}, {"P": 0, "Q": 1})
+        doc = FRAME_SCHEMA.to_json()
+        assert "level_codes" not in doc
+        again = DatasetSchema.from_json(doc)
+        assert again == FRAME_SCHEMA and hash(again) == hash(FRAME_SCHEMA)
+        assert again.level_codes == FRAME_SCHEMA.level_codes
+
     def test_sentiment_matrix_names_first_deal_without_a_path(self):
         deals = [
             DealRecord(name, dt.date(2015, 1, 2), (1.0, 2.0, 3.0), ("X", "P"), path, 0)

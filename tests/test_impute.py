@@ -1,5 +1,6 @@
 import dataclasses
 import datetime as dt
+import importlib
 import tracemalloc
 
 import numpy as np
@@ -368,6 +369,45 @@ class TestArrayFill:
         # any constructor gets the terms: replace() builds a new model
         assert dataclasses.replace(model, k=3).reference_terms is not None
         assert len(calls) == 2
+
+    @pytest.mark.parametrize("gap", ["numeric", "categorical"])
+    def test_a_kind_without_gaps_runs_no_fill(self, gap, monkeypatch):
+        refs, queries, schema = sparse_universe(seed=6)
+        model = fit_imputer(refs, schema, k=5)
+        frame = DealFrame.of(queries, schema)
+        # keep only one kind of gap by completing the other kind
+        if gap == "numeric":
+            frame = dataclasses.replace(frame, codes=np.maximum(frame.codes, 0))
+            idle = "_majority_votes"
+        else:
+            frame = dataclasses.replace(frame, numeric=np.nan_to_num(frame.numeric))
+            idle = "_neighbour_means"
+        expected, _ = impute_loops(model, frame)
+
+        def no_cells(*args):
+            raise AssertionError(f"{idle} ran with no cells to fill")
+
+        monkeypatch.setattr(importlib.import_module("mergepipe.impute"), idle, no_cells)
+        got = impute(model, frame)
+        assert got == expected
+        assert np.array_equal(bits(got), bits(expected))
+
+
+@pytest.mark.parametrize("rows", [1, 8, 64])
+def test_imputed_values_do_not_depend_on_the_rows_sharing_a_call(rows):
+    # distance bits may depend on how many query rows share a product; the
+    # neighbour sets, and so the filled values, must not
+    cfg = GeneratorConfig(n_deals=300, n_numeric=20, n_categorical=10,
+                          levels_per_categorical=3, sentiment_length=0, missing_rate=0.05,
+                          signal_strength=2.0)
+    frame = DealFrame.of(generate_synthetic(cfg, seed=7), cfg.schema())
+    model = fit_imputer(frame.take(slice(0, 240)), cfg.schema(), k=5)
+    whole = impute(model, frame)
+    parts = [impute(model, frame.take(slice(i, i + rows))) for i in range(0, len(frame), rows)]
+    numeric = np.concatenate([p.numeric for p in parts])
+    assert np.array_equal(numeric.view(np.int64), whole.numeric.view(np.int64))
+    assert np.array_equal(np.concatenate([p.codes for p in parts]), whole.codes)
+    assert np.isfinite(whole.numeric).all() and (whole.codes >= 0).all()
 
 
 finite_value = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)

@@ -14,12 +14,32 @@ def random_masked_problem(seed, nq=11, nr=13, cols=6):
     return qv, qm, rv, rm, inv_scale, cols
 
 
+def _masked_sqdist_loops(qv, qm, rv, rm, inv_scale, total_cols):
+    """Plain-loop partial distance over jointly observed coordinates:
+    d2[i, j] = (D / d_ij) * sum_k ((q[i,k] - r[j,k]) * w[k])^2, +inf where
+    no coordinate is shared."""
+    nq, ncols = qv.shape
+    nr = rv.shape[0]
+    out = np.empty((nq, nr), dtype=np.float64)
+    for i in range(nq):
+        for j in range(nr):
+            acc = 0.0
+            shared = 0
+            for k in range(ncols):
+                if qm[i, k] and rm[j, k]:
+                    diff = (qv[i, k] - rv[j, k]) * inv_scale[k]
+                    acc += diff * diff
+                    shared += 1
+            out[i, j] = acc * (total_cols / shared) if shared > 0 else np.inf
+    return out
+
+
 class TestMaskedSqdist:
     def test_numpy_matches_loop_reference(self):
         for seed in range(6):
             qv, qm, rv, rm, w, cols = random_masked_problem(seed)
             vec = kernels.masked_sqdist(qv, qm, rv, rm, w, cols)
-            ref = kernels._masked_sqdist_loops(qv, qm, rv, rm, w, cols)
+            ref = _masked_sqdist_loops(qv, qm, rv, rm, w, cols)
             finite = np.isfinite(ref)
             assert (np.isfinite(vec) == finite).all()
             assert np.allclose(vec[finite], ref[finite], atol=1e-10)
@@ -38,11 +58,21 @@ class TestMaskedSqdist:
             assert np.array_equal(got, expected)
             assert np.isinf(got[5]).all() and np.isinf(got[6]).all()
             assert np.isinf(got[:, 3]).all()
-            # the prepared terms, not rv, carry the reference values
+            # the prepared block, not rv or rm, carries the reference side
             again = kernels.masked_sqdist(
-                qv, qm, np.zeros_like(rv), rm, w, cols, reference=reference
+                qv, qm, np.zeros_like(rv), np.ones_like(rm), w, cols, reference=reference
             )
             assert np.array_equal(again, expected)
+
+    def test_reference_is_one_packed_block(self):
+        qv, qm, rv, rm, w, cols = random_masked_problem(0, nr=25)
+        block = kernels.prepare_reference(rv, rm, w)
+        assert block.shape == (3 * cols, 25) and block.dtype == np.float64
+        assert block.flags.c_contiguous
+        scaled = np.where(rm, rv * w, 0.0)
+        assert np.array_equal(block[:cols], rm.T.astype(np.float64))
+        assert np.array_equal(block[cols : 2 * cols], scaled.T)
+        assert np.array_equal(block[2 * cols :], (scaled * scaled).T)
 
 
 class TestSearchRows:
