@@ -172,9 +172,10 @@ def provenance():
     }
 
 
-def append_entry(path, entry):
+def append_entry(path, benchmark, entry):
+    """Append ``entry`` to the JSON file at ``path``, written by script ``benchmark``."""
     doc = json.loads(path.read_text()) if path.exists() else {
-        "benchmark": "benchmarks/bench_kernels.py", "entries": []}
+        "benchmark": benchmark, "entries": []}
     doc["entries"].append(entry)
     path.write_text(json.dumps(doc, indent=2) + "\n")
 
@@ -206,8 +207,8 @@ def main():
     shape = {"refs": args.refs, "cols": args.cols, "seq": args.seq, "batch": args.batch,
              "repeat": args.repeat}
     out = Path(__file__).resolve().parent.parent / "BENCH_kernels.json"
-    append_entry(out, {"label": args.label, "provenance": provenance(), "shape": shape,
-                            "rows": rows})
+    append_entry(out, "benchmarks/bench_kernels.py",
+                 {"label": args.label, "provenance": provenance(), "shape": shape, "rows": rows})
     print(f"\nappended to {out}")
 
 

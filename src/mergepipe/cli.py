@@ -29,7 +29,7 @@ from . import __version__
 from .dataset import (
     GeneratorConfig,
     SplitSpec,
-    generate_synthetic,
+    generate_frame,
     load_deals_csv,
     load_schema_json,
     temporal_split,
@@ -106,17 +106,17 @@ def cmd_generate(args) -> int:
         return _die(2, f"config is not valid JSON: {exc}")
     except MergepipeError as exc:
         return _die(2, f"bad generator config: {exc}")
-    deals = generate_synthetic(config, seed=args.seed)
+    frame = generate_frame(config, seed=args.seed)
     out = Path(args.out)
     schema_path = out.with_suffix(".schema.json")
     try:
         out.parent.mkdir(parents=True, exist_ok=True)
-        write_deals_csv(out, deals, config.schema())
+        write_deals_csv(out, frame, config.schema())
         write_schema_json(schema_path, config.schema())
     except OSError as exc:
         return _die(1, f"cannot write output: {exc}")
     _write_manifest(out.parent, "generate", doc, args.seed, [out, schema_path], started)
-    print(f"wrote {len(deals)} deals to {out}")
+    print(f"wrote {len(frame)} deals to {out}")
     return 0
 
 

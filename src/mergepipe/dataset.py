@@ -5,8 +5,10 @@ from __future__ import annotations
 import csv
 import dataclasses
 import datetime as dt
+import io
 import json
 import math
+import re
 from array import array
 from dataclasses import dataclass, field
 
@@ -317,24 +319,65 @@ def load_deals_csv(path, schema: DatasetSchema) -> "DealFrame":
     )
 
 
-def write_deals_csv(path, deals, schema: DatasetSchema) -> None:
-    def cell(v):
-        return "" if v is None else repr(float(v))
+# rows formatted per write: the writer holds one chunk of text beyond the
+# frame; 256 rows left a small run's peak RSS higher than a row-wise writer
+WRITE_ROWS = 64
+# a string cell holding one of these may need quotes, which csv.writer decides
+_QUOTABLE = re.compile(r'[,"\r\n]')
 
+
+def _csv_cell(text: str) -> str:
+    """``text`` as ``csv.writer(lineterminator="\\n")`` writes it among other cells."""
+    if not _QUOTABLE.search(text):
+        return text
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow((text, ""))
+    return buf.getvalue()[: -len(",\n")]
+
+
+def _float_cells(block: np.ndarray, blank: np.ndarray) -> list:
+    """One comma-joined text per row of ``block``: ``repr`` of each value,
+    an empty cell where ``blank``."""
+    width = block.shape[1]
+    cells = list(map(repr, block.ravel().tolist()))
+    for i in np.flatnonzero(blank).tolist():
+        cells[i] = ""
+    return [",".join(cells[i : i + width]) for i in range(0, len(cells), width)]
+
+
+def write_deals_csv(path, deals, schema: DatasetSchema) -> None:
+    """Write deals, a frame or DealRecords, as the CSV ``load_deals_csv`` reads.
+
+    Records are converted once with ``DealFrame.of``.  The rows are then
+    formatted from the frame's columns, ``WRITE_ROWS`` at a time: each
+    chunk's numeric and sentiment blocks take one ``repr`` pass over their
+    values and each line one ``",".join``, so memory holds the frame plus one
+    chunk of text, whatever the row count.  Floats are written as
+    ``repr(float(v))``; missing numeric and categorical cells (NaN, code -1)
+    and the cells of an absent sentiment path are empty; string cells (the
+    header, deal ids, level labels) are quoted as ``csv.writer`` quotes them.
+    """
+    frame = DealFrame.of(deals, schema)
+    # level texts by code + 1, so a missing code (-1) reads the empty cell
+    levels = [("",) + tuple(map(_csv_cell, lv)) for lv in schema.categorical_levels]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(csv_header(schema))
-        for r in deals:
-            sent = [""] * schema.sentiment_length if r.sentiment is None else [
-                repr(float(v)) for v in r.sentiment
+        fh.write(",".join(map(_csv_cell, csv_header(schema))) + "\n")
+        for start in range(0, len(frame), WRITE_ROWS):
+            part = frame.take(slice(start, start + WRITE_ROWS))
+            columns = [
+                list(map(_csv_cell, part.deal_ids.tolist())),
+                [dt.date.fromordinal(d).isoformat() for d in part.dates.tolist()],
             ]
-            writer.writerow(
-                [r.deal_id, r.announce_date.isoformat()]
-                + [cell(v) for v in r.numeric]
-                + ["" if v is None else v for v in r.categorical]
-                + sent
-                + [str(r.label)]
-            )
+            if schema.n_numeric:
+                columns.append(_float_cells(part.numeric, np.isnan(part.numeric)))
+            if schema.n_categorical:
+                columns.append([",".join([lv[c + 1] for lv, c in zip(levels, row)])
+                                for row in part.codes.tolist()])
+            if schema.sentiment_length:
+                absent = np.broadcast_to(~part.has_sentiment[:, None], part.sentiment.shape)
+                columns.append(_float_cells(part.sentiment, absent))
+            columns.append(list(map(str, part.labels.tolist())))
+            fh.write("".join(",".join(cells) + "\n" for cells in zip(*columns)))
 
 
 def temporal_split(deals, spec: SplitSpec):
@@ -464,8 +507,12 @@ def _ar1_paths(rng, n, length, rho=0.9, sigma=0.12):
     return paths
 
 
-def generate_synthetic(config: GeneratorConfig, seed: int) -> list:
-    """Deterministic label-conditional deal universe; see GeneratorConfig."""
+def generate_frame(config: GeneratorConfig, seed: int) -> DealFrame:
+    """Deterministic label-conditional deal universe as a frame; see GeneratorConfig.
+
+    Every block is drawn as a column array, so no DealRecord is built;
+    ``write_deals_csv`` writes the frame in row chunks.
+    """
     rng = np.random.default_rng(seed)
     n = config.n_deals
     labels = (rng.random(n) < config.cancel_rate).astype(np.int64)
@@ -539,7 +586,7 @@ def generate_synthetic(config: GeneratorConfig, seed: int) -> list:
     miss_num = rng.random((n, config.n_numeric)) < config.missing_rate
     miss_cat = rng.random((n, config.n_categorical)) < config.missing_rate
 
-    frame = DealFrame(
+    return DealFrame(
         schema=config.schema(),
         deal_ids=np.array([f"deal_{i:06d}" for i in range(n)], dtype=object),
         dates=ordinals.astype(np.int64),
@@ -549,7 +596,16 @@ def generate_synthetic(config: GeneratorConfig, seed: int) -> list:
         has_sentiment=np.full(n, paths is not None),
         labels=labels,
     )
-    return list(frame)
+
+
+def generate_synthetic(config: GeneratorConfig, seed: int) -> list:
+    """``generate_frame``'s deals as a list of DealRecords.
+
+    ``mergepipe generate`` builds no record: it writes the frame itself,
+    which ``write_deals_csv`` formats from its columns in chunks of
+    ``WRITE_ROWS`` rows, holding one chunk of text beyond the frame.
+    """
+    return list(generate_frame(config, seed))
 
 
 def sentiment_matrix(deals, schema: DatasetSchema) -> np.ndarray:

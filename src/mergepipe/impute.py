@@ -54,9 +54,10 @@ class ImputerModel:
     column_mode: np.ndarray  # observed train mode code per variable (-1 if none)
     schema: DatasetSchema
     # reference side of every distance call, derived from the fields above
-    # once per model: observed mask, 1 / numeric_scale and
-    # kernels.prepare_reference's packed (3D, n_ref) block
+    # once per model: observed mask, references observed per column,
+    # 1 / numeric_scale and kernels.prepare_reference's packed (3D, n_ref) block
     reference_observed: np.ndarray = field(init=False, repr=False, compare=False)
+    reference_counts: np.ndarray = field(init=False, repr=False, compare=False)
     inv_scale: np.ndarray = field(init=False, repr=False, compare=False)
     reference_terms: np.ndarray = field(init=False, repr=False, compare=False)
 
@@ -65,6 +66,7 @@ class ImputerModel:
         inv_scale = 1.0 / self.numeric_scale
         terms = kernels.prepare_reference(self.reference_numeric, observed, inv_scale)
         object.__setattr__(self, "reference_observed", observed)
+        object.__setattr__(self, "reference_counts", observed.sum(axis=0))
         object.__setattr__(self, "inv_scale", inv_scale)
         object.__setattr__(self, "reference_terms", terms)
 
@@ -107,17 +109,19 @@ def _neighbour_indices(model: ImputerModel, query_num: np.ndarray, deal_ids) -> 
     for start in range(0, query_num.shape[0], step):
         block = query_num[start : start + step]
         qm = np.isfinite(block)
-        qv = np.where(qm, block, 0.0)
-        d2 = kernels.masked_sqdist(
-            qv, qm, ref, model.reference_observed, model.inv_scale, query_num.shape[1],
-            reference=model.reference_terms,
-        )
-        no_overlap = ~np.isfinite(d2).any(axis=1)
+        # from the masks, not the distances: an overflowing scaled square
+        # makes a row all inf or NaN although its query shares columns
+        no_overlap = qm @ model.reference_counts == 0
         if no_overlap.any():
             bad = deal_ids[start + int(np.flatnonzero(no_overlap)[0])]
             raise NoComparableRow(
                 f"deal {bad} shares no observed numeric coordinate with any reference"
             )
+        qv = np.where(qm, block, 0.0)
+        d2 = kernels.masked_sqdist(
+            qv, qm, ref, model.reference_observed, model.inv_scale, query_num.shape[1],
+            reference=model.reference_terms,
+        )
         out[start : start + block.shape[0]] = kernels.top_k(d2, model.k)
     return out
 

@@ -1,5 +1,7 @@
+import csv
 import datetime as dt
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +15,8 @@ from mergepipe.dataset import (
     DealRecord,
     GeneratorConfig,
     SplitSpec,
+    csv_header,
+    generate_frame,
     generate_synthetic,
     load_deals_csv,
     sentiment_matrix,
@@ -28,6 +32,39 @@ from mergepipe.errors import (
     MissingSentiment,
     UnknownCategory,
 )
+
+
+def _write_deals_csv_rows(path, deals, schema):
+    """Row-wise reference writer: one csv.writer row per DealRecord, each
+    float as repr(float(v)), None and an absent sentiment path as empty cells."""
+
+    def cell(v):
+        return "" if v is None else repr(float(v))
+
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(csv_header(schema))
+        for r in deals:
+            sent = [""] * schema.sentiment_length if r.sentiment is None else [
+                repr(float(v)) for v in r.sentiment
+            ]
+            writer.writerow(
+                [r.deal_id, r.announce_date.isoformat()]
+                + [cell(v) for v in r.numeric]
+                + ["" if v is None else v for v in r.categorical]
+                + sent
+                + [str(r.label)]
+            )
+
+
+def assert_writes_like_rows(tmp_path, deals, schema):
+    """write_deals_csv, given the records or their frame, writes the reference's bytes."""
+    expected = tmp_path / "rows.csv"
+    _write_deals_csv_rows(expected, deals, schema)
+    for given_as in (deals, DealFrame.of(deals, schema)):
+        out = tmp_path / "columns.csv"
+        write_deals_csv(out, given_as, schema)
+        assert out.read_bytes() == expected.read_bytes()
 
 
 def tiny_schema(sent_len=4):
@@ -164,6 +201,76 @@ class TestLoadCsv:
         f2 = tmp_path / "out2.csv"
         write_deals_csv(f2, again, schema)
         assert f.read_bytes() == f2.read_bytes()
+
+
+QUOTING_SCHEMA = DatasetSchema(
+    numeric_names=("n,0", 'n"1'),
+    categorical_names=("c\n0",),
+    categorical_levels=(("plain", "a,b", 'say "hi"', "two\nlines", "cr\rlf"),),
+    sentiment_length=2,
+)
+
+
+class TestWriteCsv:
+    @pytest.mark.parametrize("sentiment_length", [0, 121])
+    def test_generator_data_matches_row_writer(self, tmp_path, sentiment_length):
+        cfg = GeneratorConfig(n_deals=600, n_numeric=5, n_categorical=3,
+                              levels_per_categorical=3, sentiment_length=sentiment_length,
+                              missing_rate=0.2, sentiment_signal=0.5)
+        assert_writes_like_rows(tmp_path, generate_synthetic(cfg, seed=21), cfg.schema())
+
+    def test_quoted_ids_labels_and_names(self, tmp_path):
+        deals = [
+            DealRecord(deal_id, dt.date(2015, 1, 2), (1.5, None), (label,), path, i % 2)
+            for i, (deal_id, label, path) in enumerate([
+                ("plain", "plain", (0.5, -0.5)),
+                ("with,comma", "a,b", None),
+                ('with "quotes"', 'say "hi"', (1.0, -1.0)),
+                ("two\nlines", "two\nlines", None),
+                ("cr\rlf", "cr\rlf", (0.0, 0.25)),
+                ("", None, None),
+            ])
+        ]
+        assert_writes_like_rows(tmp_path, deals, QUOTING_SCHEMA)
+
+    def test_float_spellings_and_absent_sentiment(self, tmp_path):
+        values = [(3, -7), (-0.0, 1e-05), (1e16, 5e-324), (True, 2**52 + 1), (None, -1e-300)]
+        deals = [
+            DealRecord(f"d{i}", dt.date(1999, 12, 31), num, ("plain",),
+                       None if i % 2 else (-0.0, 5e-324), 0)
+            for i, num in enumerate(values)
+        ]
+        assert_writes_like_rows(tmp_path, deals, QUOTING_SCHEMA)
+
+    def test_nan_cell_is_written_empty(self, tmp_path):
+        # the row writer wrote "nan"; a frame holds NaN as a missing cell and
+        # writes it empty; both read back as missing
+        deal = DealRecord("a", dt.date(2015, 1, 2), (float("nan"), 2.0), ("plain",), None, 1)
+        out, rows = tmp_path / "columns.csv", tmp_path / "rows.csv"
+        write_deals_csv(out, [deal], QUOTING_SCHEMA)
+        _write_deals_csv_rows(rows, [deal], QUOTING_SCHEMA)
+        assert out.read_text().splitlines()[-1] == "a,2015-01-02,,2.0,plain,,,1"
+        assert rows.read_text().splitlines()[-1] == "a,2015-01-02,nan,2.0,plain,,,1"
+        for path in (out, rows):
+            assert load_deals_csv(path, QUOTING_SCHEMA)[0].numeric == (None, 2.0)
+
+    @staticmethod
+    def peak_bytes(tmp_path, n_deals):
+        cfg = GeneratorConfig(n_deals=n_deals, n_numeric=8, n_categorical=3,
+                              sentiment_length=30, missing_rate=0.05)
+        frame = generate_frame(cfg, seed=3)
+        tracemalloc.start()
+        try:
+            write_deals_csv(tmp_path / f"{n_deals}.csv", frame, cfg.schema())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return peak
+
+    def test_peak_memory_does_not_grow_with_rows(self, tmp_path):
+        # a writer that formats every row before writing holds 4x the text
+        # at 4x the rows; the chunked one holds one chunk of rows either way
+        assert self.peak_bytes(tmp_path, 6000) < 2 * self.peak_bytes(tmp_path, 1500)
 
 
 def rec(deal_id, date, label=0):
@@ -318,6 +425,7 @@ class TestDealFrame:
             path = Path(tmp) / "deals.csv"
             write_deals_csv(path, deals, FRAME_SCHEMA)
             again = load_deals_csv(path, FRAME_SCHEMA)
+            assert_writes_like_rows(Path(tmp), deals, FRAME_SCHEMA)
         assert isinstance(again, DealFrame)
         assert list(again) == deals
 

@@ -113,6 +113,30 @@ def test_no_comparable_row():
         impute(model, queries)
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+def test_overflowing_distance_still_shares_columns():
+    # the column scale is 3.25e-150, so the query's scaled square overflows
+    # and every distance of its row is inf or NaN; it still shares column 0
+    # (and column 1) with the references, so it is imputed, not rejected
+    schema = DatasetSchema(
+        numeric_names=("x0", "x1", "x2"),
+        categorical_names=("c0", "c1"),
+        categorical_levels=(("a", "b", "c"), ("a", "b", "c")),
+        sentiment_length=0,
+    )
+    refs = [
+        make("r0", (0.0, 6.501152487804094e-150, None), (None, None)),
+        make("r1", (0.0, 0.0, None), (None, None)),
+        make("r2", (0.0, None, None), (None, None)),
+    ]
+    model = fit_imputer(refs, schema, k=1)
+    query = make("q", (0.0, 43584.0, None), (None, None))
+    # r0 and r1 are +inf, r2 NaN: the stable order takes r0
+    assert _neighbour_indices(model, DealFrame.of([query], schema).numeric, ["q"]).tolist() == [[0]]
+    [out] = impute(model, [query])
+    assert out.numeric[:2] == (0.0, 43584.0) and out.numeric[2] is not None
+
+
 class TestExactTopK:
     def test_matches_stable_argsort_with_ties_and_inf(self):
         rng = np.random.default_rng(5)
