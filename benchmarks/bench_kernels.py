@@ -5,7 +5,9 @@ imputation search runs (``kernels.search_rows(4000)`` query rows against the
 4000 x 20 reference matrix of a fitted f1 model, reference block prepared
 once) and at the serving shapes score-stream runs (1, 8 and 64 query rows
 against the same references), there with the packed reference block
-prepared on every call and once, as ``ImputerModel`` holds it.  SMOTE: the
+prepared on every call and once, as ``ImputerModel`` holds it.  Top-k:
+``kernels.top_k`` with k=5 on distance rows of the same serving and search
+block shapes.  SMOTE: the
 neighbour table of the 720 minority rows x 40 features an f1 paper-shape fit
 oversamples.  LSTM: the two cells the seq-small workload runs at T=121,
 batch 64 -- the f3 classifier's tanh cell with hidden 8 and the f2
@@ -93,6 +95,17 @@ def bench_masked_sqdist_serving(repeat):
         label = f"{n_query}x{n_refs}"
         rows.append((f"{label}, prepared per call", timeit(per_call, repeat)))
         rows.append((f"{label}, prepared once", timeit(once, repeat)))
+    return rows
+
+
+def bench_top_k(n_refs, repeat):
+    """k=5 selection over rows of distinct distances at the serving shapes and
+    at one search block of the fit, as the imputer selects neighbours."""
+    rng = np.random.default_rng(4)
+    rows = []
+    for n_query in [shape[0] for shape in SERVING_SHAPES] + [kernels.search_rows(n_refs)]:
+        d2 = rng.random((n_query, n_refs))
+        rows.append((f"k=5, {n_query}x{n_refs}", timeit(lambda: kernels.top_k(d2, 5), repeat)))
     return rows
 
 
@@ -196,6 +209,7 @@ def main():
     )
     rows += show("masked pairwise sqdist, serving shapes (20 cols)",
                  bench_masked_sqdist_serving(args.repeat))
+    rows += show("top-k selection", bench_top_k(args.refs, args.repeat))
     rows += show(f"smote neighbour table ({SMOTE_SHAPE[0]} rows, {SMOTE_SHAPE[1]} cols)",
                  bench_smote_table(args.repeat))
     for label, hidden, sigmoid_candidate in LSTM_CELLS:

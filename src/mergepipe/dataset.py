@@ -5,7 +5,6 @@ from __future__ import annotations
 import csv
 import dataclasses
 import datetime as dt
-import io
 import json
 import math
 import re
@@ -322,17 +321,17 @@ def load_deals_csv(path, schema: DatasetSchema) -> "DealFrame":
 # rows formatted per write: the writer holds one chunk of text beyond the
 # frame; 256 rows left a small run's peak RSS higher than a row-wise writer
 WRITE_ROWS = 64
-# a string cell holding one of these may need quotes, which csv.writer decides
+# a string cell holding one of these is quoted; csv.reader ends a row at a
+# bare "\r" as at "\n", so both line-end characters need quotes
 _QUOTABLE = re.compile(r'[,"\r\n]')
 
 
 def _csv_cell(text: str) -> str:
-    """``text`` as ``csv.writer(lineterminator="\\n")`` writes it among other cells."""
+    """``text`` as a ``csv.writer(lineterminator="\\r\\n")`` cell: quoted,
+    with its quotes doubled, when it holds ``,``, ``"``, ``\\r`` or ``\\n``."""
     if not _QUOTABLE.search(text):
         return text
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerow((text, ""))
-    return buf.getvalue()[: -len(",\n")]
+    return '"' + text.replace('"', '""') + '"'
 
 
 def _float_cells(block: np.ndarray, blank: np.ndarray) -> list:
@@ -355,7 +354,8 @@ def write_deals_csv(path, deals, schema: DatasetSchema) -> None:
     chunk of text, whatever the row count.  Floats are written as
     ``repr(float(v))``; missing numeric and categorical cells (NaN, code -1)
     and the cells of an absent sentiment path are empty; string cells (the
-    header, deal ids, level labels) are quoted as ``csv.writer`` quotes them.
+    header, deal ids, level labels) are quoted as a ``\\r\\n`` ``csv.writer``
+    quotes them.
     """
     frame = DealFrame.of(deals, schema)
     # level texts by code + 1, so a missing code (-1) reads the empty cell

@@ -24,9 +24,11 @@ about 3 x n_ref x D extra floats.  Every ``impute`` call passes them to
 Missing cells of all incomplete rows are filled at once with array
 operations, bit-identical to a per-cell ``vals.mean()`` over the finite
 neighbour values and ``np.bincount(votes).argmax()`` over the observed
-neighbour labels.  Means are taken per group of cells with the same number
-of finite values: from 8 values on, numpy sums pairwise, so a masked sum
-over all k columns would group them differently.
+neighbour labels.  When all k neighbour values of every cell are finite,
+which for a call with one or a few missing cells is common, that is one
+``mean`` over the k columns.  Otherwise means are taken per group of cells
+with the same number of finite values: from 8 values on, numpy sums
+pairwise, so a masked sum over all k columns would group them differently.
 
 The model is immutable after fit and imputation is pure per row, so rows
 may be processed in parallel without changing the result.
@@ -129,12 +131,15 @@ def _neighbour_indices(model: ImputerModel, query_num: np.ndarray, deal_ids) -> 
 def _neighbour_means(vals: np.ndarray, fallback: np.ndarray) -> np.ndarray:
     """Mean of the finite entries per row of vals (cells x k), else fallback.
 
-    Each row's finite entries are moved left, in order, and rows are grouped
-    by how many there are, so every mean sums the same values in the same
-    order as ``vals[np.isfinite(vals)].mean()`` on the row alone: numpy's
-    pairwise summation groups a length-c row the same way in both.
+    When every entry is finite this is ``vals.mean(axis=1)``.  Otherwise each
+    row's finite entries are moved left, in order, and rows are grouped by
+    how many there are, so every mean sums the same values in the same order
+    as ``vals[np.isfinite(vals)].mean()`` on the row alone: numpy's pairwise
+    summation groups a length-c row the same way in both.
     """
     finite = np.isfinite(vals)
+    if finite.all():
+        return vals.mean(axis=1)
     count = finite.sum(axis=1)
     packed = np.take_along_axis(vals, np.argsort(~finite, axis=1, kind="stable"), axis=1)
     out = fallback.copy()

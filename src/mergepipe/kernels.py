@@ -97,23 +97,27 @@ def search_rows(n_ref: int) -> int:
 def top_k(d2: np.ndarray, k: int) -> np.ndarray:
     """First k columns of ``np.argsort(d2, axis=1, kind="stable")``.
 
-    ``np.argpartition`` picks the k smallest per row, and those k are
-    ordered by (distance, column).  A row with another value equal to its
-    k-th outside the picked k (ties, ``+inf``, NaN) is stable-sorted whole.
+    ``np.argpartition`` at k leaves a row's k smallest first and its
+    (k+1)-th smallest in column k; the k are ordered by (distance, column).
+    That pick is the stable one when the (k+1)-th value is strictly above
+    the k-th, an O(k) check per row; other rows (a tie, ``+inf`` or NaN at
+    the cut) are stable-sorted whole.
     """
     if k >= d2.shape[1]:
         return np.argsort(d2, axis=1, kind="stable")[:, :k]
     rows = np.arange(d2.shape[0])[:, None]
-    picked = np.argpartition(d2, k - 1, axis=1)[:, :k]
+    picked = np.argpartition(d2, k, axis=1)[:, : k + 1]
+    # the (k+1)-th value, read now so that nothing holds the (n, n_ref)
+    # partition block once the picked k are reindexed below
+    after = d2[rows, picked[:, k:]]
+    picked = picked[:, :k]
     dist = d2[rows, picked]
     # sort the picked k by (distance, index); lexsort keys run last-major
     order = np.lexsort((picked, dist), axis=1)
     picked = picked[rows, order]
     kth = dist[rows, order[:, -1:]]
-    # the picked set is the stable one unless a value equal to the k-th lies
-    # outside it (a NaN k-th value counts nothing and also lands here)
-    tied = np.count_nonzero(d2 <= kth, axis=1) != k
-    for row in np.flatnonzero(tied):
+    # NaN compares False, so a NaN k-th or (k+1)-th value falls back too
+    for row in np.flatnonzero(~(after > kth)[:, 0]):
         picked[row] = np.argsort(d2[row], kind="stable")[:k]
     return picked
 

@@ -62,7 +62,7 @@ def activation_grad(name: str, z: np.ndarray) -> np.ndarray:
 
 def stable_sigmoid(z: np.ndarray) -> np.ndarray:
     ez = np.exp(-np.abs(z))
-    return np.where(z >= 0.0, 1.0 / (1.0 + ez), ez / (1.0 + ez))
+    return np.where(z >= 0.0, 1.0, ez) / (1.0 + ez)
 
 
 @dataclass(frozen=True)
@@ -282,7 +282,9 @@ def _lstm_backward(params, grads, name, xs, states, dh_all, sigmoid_candidate=Fa
 def _head_forward(params, a):
     z = a @ params.view("head.w") + params.view("head.b")
     # clamp so outputs stay strictly inside (0, 1) even at saturation
-    q = np.clip(stable_sigmoid(z[:, 0]), EPS, 1.0 - EPS)
+    q = stable_sigmoid(z[:, 0])
+    np.maximum(q, EPS, out=q)
+    np.minimum(q, 1.0 - EPS, out=q)
     return q, (a, z)
 
 

@@ -153,7 +153,7 @@ class FittedPipeline:
         pca_scores = pca_transform(self.pca, imputed.numeric)
         onehot = one_hot_encode(imputed, self.schema)
         mca_scores = mca_transform(self.mca, onehot[:, self.kept_onehot_cols])
-        return np.hstack([pca_scores, mca_scores])
+        return np.concatenate((pca_scores, mca_scores), axis=1)
 
     def features(self, deals):
         """Imputed + reduced model inputs for raw deals (a frame or records)."""
@@ -164,7 +164,7 @@ class FittedPipeline:
         sequences = sentiment_matrix(imputed, self.schema)
         if self.config.framework == "f2":
             embedding = autoencoder_encode(self.autoencoder, sequences)
-            return (np.hstack([tabular, embedding]),)
+            return (np.concatenate((tabular, embedding), axis=1),)
         return (tabular, sequences)
 
     def scores(self, deals) -> np.ndarray:

@@ -1,5 +1,6 @@
 import csv
 import datetime as dt
+import io
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -36,19 +37,26 @@ from mergepipe.errors import (
 
 def _write_deals_csv_rows(path, deals, schema):
     """Row-wise reference writer: one csv.writer row per DealRecord, each
-    float as repr(float(v)), None and an absent sentiment path as empty cells."""
+    float as repr(float(v)), None and an absent sentiment path as empty cells.
+    Rows end in "\\n", but cells are quoted as a "\\r\\n" writer quotes them,
+    so a cell holding "\\r" is quoted as one holding "\\n" is."""
 
     def cell(v):
         return "" if v is None else repr(float(v))
 
+    def writerow(fh, cells):
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\r\n").writerow(cells)
+        fh.write(buf.getvalue()[: -len("\r\n")] + "\n")
+
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(csv_header(schema))
+        writerow(fh, csv_header(schema))
         for r in deals:
             sent = [""] * schema.sentiment_length if r.sentiment is None else [
                 repr(float(v)) for v in r.sentiment
             ]
-            writer.writerow(
+            writerow(
+                fh,
                 [r.deal_id, r.announce_date.isoformat()]
                 + [cell(v) for v in r.numeric]
                 + ["" if v is None else v for v in r.categorical]
@@ -232,6 +240,31 @@ class TestWriteCsv:
             ])
         ]
         assert_writes_like_rows(tmp_path, deals, QUOTING_SCHEMA)
+
+    def test_carriage_returns_round_trip(self, tmp_path):
+        # csv.reader ends a row at a bare "\r", so an unquoted one splits it
+        schema = DatasetSchema(numeric_names=("n\r0",), categorical_names=("c\r",),
+                               categorical_levels=(("x\ry", "\r", "z"),), sentiment_length=0)
+        deals = [
+            DealRecord(deal_id, dt.date(2015, 1, 2), (1.5,), (label,), None, i % 2)
+            for i, (deal_id, label) in enumerate([
+                ("a\rb", "x\ry"), ("\r", "\r"), ("c\r\nd", None), ("e\r", "z"),
+            ])
+        ]
+        out = tmp_path / "cr.csv"
+        write_deals_csv(out, deals, schema)
+        assert list(load_deals_csv(out, schema)) == deals
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.text(alphabet='a ,"\r\né'), min_size=1, max_size=6, unique=True))
+    def test_any_deal_id_writes_like_rows_and_loads_back(self, ids):
+        deals = [DealRecord(deal_id, dt.date(2015, 1, 2), (1.5, None), (None,), None, 0)
+                 for deal_id in ids]
+        with tempfile.TemporaryDirectory() as tmp:
+            assert_writes_like_rows(Path(tmp), deals, QUOTING_SCHEMA)
+            out = Path(tmp) / "ids.csv"
+            write_deals_csv(out, deals, QUOTING_SCHEMA)
+            assert list(load_deals_csv(out, QUOTING_SCHEMA)) == deals
 
     def test_float_spellings_and_absent_sentiment(self, tmp_path):
         values = [(3, -7), (-0.0, 1e-05), (1e16, 5e-324), (True, 2**52 + 1), (None, -1e-300)]

@@ -17,7 +17,7 @@ from mergepipe.dataset import (
     generate_synthetic,
 )
 from mergepipe.errors import NoComparableRow, TooFewRows
-from mergepipe.impute import _neighbour_indices, fit_imputer, impute
+from mergepipe.impute import _neighbour_indices, _neighbour_means, fit_imputer, impute
 from mergepipe.kernels import SEARCH_BYTES, search_rows, top_k
 
 
@@ -148,6 +148,31 @@ class TestExactTopK:
             for k in range(1, n_ref + 1):
                 expected = np.argsort(d2, axis=1, kind="stable")[:, :k]
                 assert np.array_equal(top_k(d2, k), expected)
+
+    @pytest.mark.parametrize("row, k", [
+        ([0.0, np.nan, 1.0, np.nan, 2.0], 3),  # NaN right after the k-th value
+        ([0.0, np.nan, 1.0, np.nan], 3),  # NaN as the k-th value
+        ([np.nan, 1.0, np.nan, 0.0], 2),  # NaN (k+1)-th of two finite values
+        ([np.inf, 1.0, np.nan, np.inf], 3),  # fewer than k finite values
+        ([np.nan, np.nan, np.nan], 2),  # no finite value
+        ([np.inf, 0.0, np.inf, np.inf], 2),  # +inf ties at the k-th value
+        ([3.0, 1.0, 2.0, 0.0], 3),  # k = n - 1, all distinct
+        ([1.0, 1.0, 0.0, 1.0], 3),  # k = n - 1, tied
+    ])
+    def test_edge_rows_match_stable_argsort(self, row, k):
+        d2 = np.array([row, row[::-1]])
+        assert np.array_equal(top_k(d2, k), np.argsort(d2, axis=1, kind="stable")[:, :k])
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), n_rows=st.integers(1, 6), n_ref=st.integers(1, 12))
+    def test_small_integer_distances_match_stable_argsort(self, data, n_rows, n_ref):
+        # small integers, +inf and NaN make ties and non-finite k-th values common
+        cell = st.sampled_from([0.0, 1.0, 2.0, 3.0, np.inf, np.nan])
+        d2 = np.array(data.draw(st.lists(
+            st.lists(cell, min_size=n_ref, max_size=n_ref), min_size=n_rows, max_size=n_rows
+        )))
+        k = data.draw(st.integers(1, n_ref), label="k")
+        assert np.array_equal(top_k(d2, k), np.argsort(d2, axis=1, kind="stable")[:, :k])
 
     def test_equidistant_references_take_lower_index(self):
         schema = schema_two_numeric()
@@ -374,6 +399,22 @@ class TestArrayFill:
         # for k >= 8 some means summed pairwise
         assert (used.pop("pairwise") > 0) == (k >= 8)
         assert min(used.values()) > 0, used
+
+    @pytest.mark.parametrize("k", [1, 5, 9])
+    @pytest.mark.parametrize("missing", [0.0, 0.3])
+    def test_neighbour_means_match_per_cell_mean(self, k, missing):
+        # magnitudes spread over 1e-6..1e6 make every summation order round
+        # differently; from 8 values on numpy sums pairwise
+        rng = np.random.default_rng(k)
+        vals = rng.normal(size=(300, k)) * 10.0 ** rng.integers(-6, 7, size=(300, k))
+        vals[rng.random(vals.shape) < missing] = np.nan
+        fallback = rng.normal(size=300)
+        expected = np.array([
+            row[np.isfinite(row)].mean() if np.isfinite(row).any() else fb
+            for row, fb in zip(vals, fallback)
+        ])
+        got = _neighbour_means(vals, fallback)
+        assert np.array_equal(got.view(np.int64), expected.view(np.int64))
 
     def test_reference_terms_prepared_once_per_model(self, monkeypatch):
         calls = []

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from mergepipe.errors import EmptyInput, LengthMismatch, NoPositives, SingleClass
 from mergepipe.metrics import (
@@ -204,3 +206,42 @@ class TestEvaluate:
         positives = evaluate([1, 1, 1], scores)
         assert positives.auroc is None and positives.roc_points == []
         assert positives.aupr == pr_curve([1, 1, 1], scores)[1]
+
+
+# scores on a coarse grid, so ties within and across the classes are common
+GRID_SCORES = st.lists(st.integers(0, 6).map(lambda i: i / 6), min_size=2, max_size=40)
+# strictly increasing on [0, 1] and injective there in float64
+MONOTONE = {
+    "affine": lambda s: 3.0 * s - 1.0,
+    "exp": lambda s: np.exp(4.0 * s),
+    "cube": lambda s: s ** 3 + 0.5,
+    "logit": lambda s: np.log((s + 0.01) / (1.01 - s)),
+}
+
+
+class TestProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), scores=GRID_SCORES)
+    def test_auroc_is_the_mann_whitney_statistic(self, data, scores):
+        labels = data.draw(st.lists(st.integers(0, 1), min_size=len(scores),
+                                    max_size=len(scores)), label="labels")
+        assume(0 < sum(labels) < len(labels))
+        pos = [s for s, y in zip(scores, labels) if y == 1]
+        neg = [s for s, y in zip(scores, labels) if y == 0]
+        # each positive-negative pair counts 1 when ranked right, 1/2 when tied
+        wins = sum((p > n) + 0.5 * (p == n) for p in pos for n in neg)
+        _, auroc = roc_curve(labels, scores)
+        assert auroc == pytest.approx(wins / (len(pos) * len(neg)), rel=1e-12, abs=1e-12)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), scores=GRID_SCORES, transform=st.sampled_from(sorted(MONOTONE)))
+    def test_curve_areas_ignore_monotone_transforms(self, data, scores, transform):
+        labels = data.draw(st.lists(st.integers(0, 1), min_size=len(scores),
+                                    max_size=len(scores)), label="labels")
+        assume(0 < sum(labels) < len(labels))
+        scores = np.array(scores)
+        moved = MONOTONE[transform](scores)
+        grid = np.arange(7) / 6
+        assert (np.diff(MONOTONE[transform](grid)) > 0).all()
+        assert roc_curve(labels, moved)[1] == roc_curve(labels, scores)[1]
+        assert pr_curve(labels, moved)[1] == pr_curve(labels, scores)[1]

@@ -2,6 +2,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mergepipe import kernels
 from mergepipe.errors import SingleClass, TooFewMinority
@@ -125,3 +127,36 @@ def test_smote_peak_memory_is_per_block():
         tracemalloc.stop()
     full_matrix = 8 * n_min * n_min
     assert peak < full_matrix / 4
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    data=st.data(),
+    k=st.integers(1, 4),
+    dim=st.integers(1, 3),
+    extra_majority=st.integers(1, 12),
+    seed=st.integers(0, 2**16),
+)
+def test_every_synthetic_row_lies_on_a_segment_from_its_seed(data, k, dim, extra_majority, seed):
+    # small integer features: the distances are exact in any summation
+    # order and ties between neighbours are common
+    n_min = data.draw(st.integers(k + 1, 10), label="n_min")
+    n_maj = n_min + extra_majority
+    coords = st.lists(st.integers(-2, 2), min_size=dim, max_size=dim)
+    X = np.array(data.draw(st.lists(coords, min_size=n_min + n_maj, max_size=n_min + n_maj)),
+                 dtype=np.float64)
+    y = np.array(data.draw(st.permutations([0] * n_maj + [1] * n_min)), dtype=np.int64)
+    Xa, ya = smote(X, y, SmoteConfig(k_neighbors=k, seed=seed))
+    minority = X[y == 1]
+    # brute-force neighbours: squared differences, self excluded, stable order
+    d2 = ((minority[:, None, :] - minority[None, :, :]) ** 2).sum(axis=2)
+    np.fill_diagonal(d2, np.inf)
+    nbrs = np.argsort(d2, axis=1, kind="stable")[:, :k]
+    for s, row in enumerate(Xa[len(X):]):
+        x = minority[s % n_min]  # seeds are visited round-robin
+        on_segment = False
+        for y_row in minority[nbrs[s % n_min]]:
+            d = y_row - x
+            t = 0.0 if not d.any() else float((row - x) @ d / (d @ d))
+            on_segment |= -1e-12 <= t <= 1 + 1e-12 and np.allclose(row, x + t * d, atol=1e-12)
+        assert on_segment, (s, row)
