@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .codec import Json
 from .errors import (
     BadConfig,
     BadSentiment,
@@ -46,10 +47,10 @@ class DealRecord:
 
 
 @dataclass(frozen=True)
-class DatasetSchema:
-    numeric_names: tuple
-    categorical_names: tuple
-    categorical_levels: tuple  # tuple of level tuples, aligned with names
+class DatasetSchema(Json):
+    numeric_names: tuple[str, ...]
+    categorical_names: tuple[str, ...]
+    categorical_levels: tuple[tuple[str, ...], ...]  # aligned with names
     sentiment_length: int = SENTIMENT_LENGTH
     # per variable {label: code}, derived from categorical_levels once per schema
     level_codes: tuple = field(init=False, repr=False, compare=False)
@@ -84,23 +85,6 @@ class DatasetSchema:
             raise UnknownCategory(
                 f"label {label!r} not admissible for {self.categorical_names[var]!r}"
             ) from None
-
-    def to_json(self) -> dict:
-        return {
-            "numeric_names": list(self.numeric_names),
-            "categorical_names": list(self.categorical_names),
-            "categorical_levels": [list(l) for l in self.categorical_levels],
-            "sentiment_length": self.sentiment_length,
-        }
-
-    @classmethod
-    def from_json(cls, doc: dict) -> "DatasetSchema":
-        return cls(
-            numeric_names=tuple(doc["numeric_names"]),
-            categorical_names=tuple(doc["categorical_names"]),
-            categorical_levels=tuple(tuple(l) for l in doc["categorical_levels"]),
-            sentiment_length=int(doc.get("sentiment_length", SENTIMENT_LENGTH)),
-        )
 
 
 _COLUMNS = ("deal_ids", "dates", "numeric", "codes", "sentiment", "has_sentiment", "labels")
@@ -407,7 +391,7 @@ def temporal_split(deals, spec: SplitSpec):
 
 
 @dataclass(frozen=True)
-class GeneratorConfig:
+class GeneratorConfig(Json):
     """Ground-truth-controlled deal universe.
 
     signal_strength separates the label-conditional numeric means (0 means
@@ -422,7 +406,7 @@ class GeneratorConfig:
     cancel_rate: float = 0.2
     n_numeric: int = 8
     n_categorical: int = 4
-    levels_per_categorical: tuple | int = 2
+    levels_per_categorical: tuple[int, ...] | int = 2
     sentiment_length: int = SENTIMENT_LENGTH
     missing_rate: float = 0.0
     signal_strength: float = 1.0
@@ -471,31 +455,6 @@ class GeneratorConfig:
             categorical_levels=self.levels(),
             sentiment_length=self.sentiment_length,
         )
-
-    def to_json(self) -> dict:
-        doc = dataclasses.asdict(self)
-        for key in ("date_start", "date_end", "cutoff_date"):
-            if doc[key] is not None:
-                doc[key] = doc[key].isoformat()
-        if not isinstance(self.levels_per_categorical, int):
-            doc["levels_per_categorical"] = list(self.levels_per_categorical)
-        return doc
-
-    @classmethod
-    def from_json(cls, doc: dict) -> "GeneratorConfig":
-        kwargs = dict(doc)
-        for key in ("date_start", "date_end", "cutoff_date"):
-            if kwargs.get(key) is not None:
-                kwargs[key] = dt.date.fromisoformat(kwargs[key])
-        if isinstance(kwargs.get("levels_per_categorical"), list):
-            kwargs["levels_per_categorical"] = tuple(kwargs["levels_per_categorical"])
-        unknown = set(kwargs) - {f.name for f in cls.__dataclass_fields__.values()}
-        if unknown:
-            raise BadConfig(f"unknown generator config fields: {sorted(unknown)}")
-        try:
-            return cls(**kwargs)
-        except TypeError as exc:
-            raise BadConfig(str(exc)) from None
 
 
 def _ar1_paths(rng, n, length, rho=0.9, sigma=0.12):
@@ -624,5 +583,8 @@ def write_schema_json(path, schema: DatasetSchema) -> None:
 
 
 def load_schema_json(path) -> DatasetSchema:
-    with open(path) as fh:
-        return DatasetSchema.from_json(json.load(fh))
+    try:
+        with open(path) as fh:
+            return DatasetSchema.from_json(json.load(fh))
+    except (json.JSONDecodeError, BadConfig) as exc:
+        raise BadConfig(f"schema {path}: {exc}") from None

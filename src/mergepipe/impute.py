@@ -42,19 +42,20 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
+from .codec import SKIP, Json
 from .dataset import DatasetSchema, DealFrame
 from .errors import NoComparableRow, TooFewRows
 
 
 @dataclass(frozen=True)
-class ImputerModel:
+class ImputerModel(Json):
     k: int
     reference_numeric: np.ndarray  # (n_ref, D) with NaN for missing
     reference_categorical: np.ndarray  # (n_ref, Q) int codes, -1 missing
     numeric_scale: np.ndarray  # (D,) strictly positive
     column_mean: np.ndarray  # observed train mean per column (NaN if none)
     column_mode: np.ndarray  # observed train mode code per variable (-1 if none)
-    schema: DatasetSchema
+    schema: DatasetSchema = field(metadata=SKIP)  # a pipeline stores it once, beside the model
     # reference side of every distance call, derived from the fields above
     # once per model: observed mask, references observed per column,
     # 1 / numeric_scale and kernels.prepare_reference's packed (3D, n_ref) block

@@ -14,11 +14,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .codec import Json
 from .errors import EmptyInput, LengthMismatch, NoPositives, SingleClass
 
 
 @dataclass(frozen=True)
-class ConfusionMatrix:
+class ConfusionMatrix(Json):
     tp: int
     fp: int
     tn: int
@@ -123,52 +124,18 @@ def pr_curve(labels, scores, interpolation: str = "step"):
 
 
 @dataclass(frozen=True)
-class EvalReport:
+class EvalReport(Json):
+    JSON_HEADER = {"format_version": 1}
     threshold: float
     confusion: ConfusionMatrix
     accuracy: float
     precision: float | None
     recall: float | None
     f1: float | None
-    roc_points: list
-    pr_points: list
     auroc: float | None
     aupr: float | None
-
-    def to_json(self) -> dict:
-        return {
-            "format_version": 1,
-            "threshold": self.threshold,
-            "confusion": {
-                "tp": self.confusion.tp,
-                "fp": self.confusion.fp,
-                "tn": self.confusion.tn,
-                "fn": self.confusion.fn,
-            },
-            "accuracy": self.accuracy,
-            "precision": self.precision,
-            "recall": self.recall,
-            "f1": self.f1,
-            "auroc": self.auroc,
-            "aupr": self.aupr,
-            "roc_points": [[x, y] for x, y in self.roc_points],
-            "pr_points": [[x, y] for x, y in self.pr_points],
-        }
-
-    @classmethod
-    def from_json(cls, doc: dict) -> "EvalReport":
-        return cls(
-            threshold=doc["threshold"],
-            confusion=ConfusionMatrix(**doc["confusion"]),
-            accuracy=doc["accuracy"],
-            precision=doc["precision"],
-            recall=doc["recall"],
-            f1=doc["f1"],
-            roc_points=[tuple(p) for p in doc["roc_points"]],
-            pr_points=[tuple(p) for p in doc["pr_points"]],
-            auroc=doc["auroc"],
-            aupr=doc["aupr"],
-        )
+    roc_points: list[tuple[float, float]]
+    pr_points: list[tuple[float, float]]
 
 
 def evaluate(labels, scores, threshold: float = 0.5) -> EvalReport:

@@ -10,16 +10,17 @@ its reconstruction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..codec import SKIP, Json
 from ..errors import BadConfig, ShapeMismatch
 from .network import NetworkParams, TrainConfig, _Layout, _lstm_backward, _lstm_forward, train
 
 
 @dataclass(frozen=True)
-class AutoencoderSpec:
+class AutoencoderSpec(Json):
     sequence_length: int = 121
     embedding_dim: int = 5
     hidden_width: int = 5
@@ -33,19 +34,6 @@ class AutoencoderSpec:
             raise BadConfig("embedding_dim must be smaller than sequence_length")
         if self.activation not in ("sigmoid", "tanh"):
             raise BadConfig("autoencoder activation must be sigmoid or tanh")
-
-    def to_json(self) -> dict:
-        return {
-            "sequence_length": self.sequence_length,
-            "embedding_dim": self.embedding_dim,
-            "hidden_width": self.hidden_width,
-            "activation": self.activation,
-            "seed": self.seed,
-        }
-
-    @classmethod
-    def from_json(cls, doc: dict) -> "AutoencoderSpec":
-        return cls(**doc)
 
 
 class SequenceAutoencoder:
@@ -142,25 +130,11 @@ class SequenceAutoencoder:
 
 
 @dataclass
-class FittedAutoencoder:
+class FittedAutoencoder(Json):
+    JSON_HEADER = {"format_version": 1}
     spec: AutoencoderSpec
     params: NetworkParams
-    trace: list
-
-    def to_json(self) -> dict:
-        return {
-            "format_version": 1,
-            "spec": self.spec.to_json(),
-            "params": self.params.to_json(),
-        }
-
-    @classmethod
-    def from_json(cls, doc: dict) -> "FittedAutoencoder":
-        return cls(
-            spec=AutoencoderSpec.from_json(doc["spec"]),
-            params=NetworkParams.from_json(doc["params"]),
-            trace=[],
-        )
+    trace: list = field(default_factory=list, metadata=SKIP)
 
 
 def autoencoder_fit(

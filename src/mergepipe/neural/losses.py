@@ -12,13 +12,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..codec import Json
 from ..errors import BadConfig, LengthMismatch
 
 EPS = 1e-12
 
 
 @dataclass(frozen=True)
-class LossKind:
+class LossKind(Json):
     kind: str  # cross_entropy | focal | f1 | tversky
     gamma: float = 2.0  # focal only
     alpha: float = 0.3  # tversky: false-positive weight
@@ -57,10 +58,6 @@ class LossKind:
             doc["alpha"] = self.alpha
             doc["beta"] = self.beta
         return doc
-
-    @classmethod
-    def from_json(cls, doc: dict) -> "LossKind":
-        return cls(**doc)
 
 
 def _checked(p, q):

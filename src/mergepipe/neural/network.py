@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .. import kernels
+from ..codec import Json
 from ..errors import BadConfig, LengthMismatch, NonFiniteLoss, ShapeMismatch
 from .losses import EPS, LossKind, loss_eval, loss_value_and_grad
 
@@ -66,7 +67,7 @@ def stable_sigmoid(z: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class LayerSpec:
+class LayerSpec(Json):
     kind: str  # dense | lstm
     width: int
     activation: str = "relu"
@@ -81,10 +82,10 @@ class LayerSpec:
 
 
 @dataclass(frozen=True)
-class NetworkSpec:
+class NetworkSpec(Json):
     """Layer stack feeding a scalar sigmoid head; lstm allowed first only."""
 
-    layers: tuple
+    layers: tuple[LayerSpec, ...]
     loss: LossKind
     seed: int = 0
 
@@ -94,27 +95,9 @@ class NetworkSpec:
             if layer.kind == "lstm" and pos != 0:
                 raise BadConfig("lstm layers may only read the input sequence (first position)")
 
-    def to_json(self) -> dict:
-        return {
-            "layers": [
-                {"kind": l.kind, "width": l.width, "activation": l.activation}
-                for l in self.layers
-            ],
-            "loss": self.loss.to_json(),
-            "seed": self.seed,
-        }
-
-    @classmethod
-    def from_json(cls, doc: dict) -> "NetworkSpec":
-        return cls(
-            layers=tuple(LayerSpec(**l) for l in doc["layers"]),
-            loss=LossKind.from_json(doc["loss"]),
-            seed=int(doc.get("seed", 0)),
-        )
-
 
 @dataclass
-class TrainConfig:
+class TrainConfig(Json):
     epochs: int = 60
     batch_size: int = 64
     learning_rate: float = 1e-3
@@ -132,21 +115,15 @@ class TrainConfig:
         if not (0.0 <= self.threshold <= 1.0):
             raise BadConfig("threshold must lie in [0, 1]")
 
-    def to_json(self) -> dict:
-        return dataclasses.asdict(self)
-
-    @classmethod
-    def from_json(cls, doc: dict) -> "TrainConfig":
-        return cls(**doc)
-
 
 @dataclass
-class NetworkParams:
+class NetworkParams(Json):
     """Flat trainable parameter store with a named shape table."""
 
-    values: np.ndarray
-    layout: tuple  # ((name, offset, shape), ...)
+    JSON_HEADER = {"format_version": 1}
     init_seed: int
+    layout: tuple[tuple[str, int, tuple[int, ...]], ...]  # ((name, offset, shape), ...)
+    values: np.ndarray
 
     def __post_init__(self):
         # name -> array view into values, resolved once instead of on every
@@ -160,20 +137,7 @@ class NetworkParams:
         return self._views[name]
 
     def copy(self) -> "NetworkParams":
-        return NetworkParams(self.values.copy(), self.layout, self.init_seed)
-
-    def to_json(self) -> dict:
-        return {
-            "format_version": 1,
-            "init_seed": self.init_seed,
-            "layout": [[name, offset, list(shape)] for name, offset, shape in self.layout],
-            "values": self.values.tolist(),
-        }
-
-    @classmethod
-    def from_json(cls, doc: dict) -> "NetworkParams":
-        layout = tuple((name, offset, tuple(shape)) for name, offset, shape in doc["layout"])
-        return cls(np.asarray(doc["values"], dtype=np.float64), layout, int(doc["init_seed"]))
+        return dataclasses.replace(self, values=self.values.copy())
 
 
 class _Layout:
@@ -204,7 +168,7 @@ class _Layout:
     def zeros(self, seed, out: NetworkParams | None = None) -> NetworkParams:
         """A zero store of this layout; ``out``, when given, is zeroed in place."""
         if out is None:
-            return NetworkParams(np.zeros(self.size), self.entries, seed)
+            return NetworkParams(init_seed=seed, layout=self.entries, values=np.zeros(self.size))
         out.values.fill(0.0)
         return out
 

@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .codec import SKIP, Json
 from .dataset import DatasetSchema, DealFrame, sentiment_matrix
 from .errors import BadConfig, EmptySpace, MissingSentiment
 from .impute import ImputerModel, fit_imputer, impute
@@ -56,7 +57,7 @@ OBJECTIVES = ("recall", "accuracy", "f1")
 
 
 @dataclass(frozen=True)
-class FrameworkConfig:
+class FrameworkConfig(Json):
     framework: str
     network: NetworkSpec
     pca_dims: int = 20
@@ -88,33 +89,12 @@ class FrameworkConfig:
             raise BadConfig("framework networks use dense layers; the f3 sequence branch "
                             "is configured through lstm_width")
 
-    def to_json(self) -> dict:
-        doc = {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
-        doc.update(network=self.network.to_json(), smote=dataclasses.asdict(self.smote),
-                   train=self.train.to_json())
-        return doc
-
-    @classmethod
-    def from_json(cls, doc: dict) -> "FrameworkConfig":
-        doc = dict(doc)
-        try:
-            network = NetworkSpec.from_json(doc.pop("network"))
-            smote_doc = doc.pop("smote", None)
-            train_doc = doc.pop("train", None)
-            return cls(
-                network=network,
-                smote=SmoteConfig(**smote_doc) if smote_doc else SmoteConfig(),
-                train=TrainConfig.from_json(train_doc) if train_doc else TrainConfig(),
-                **doc,
-            )
-        except (KeyError, TypeError) as exc:
-            raise BadConfig(f"invalid run config: {exc}") from None
-
 
 @dataclass
-class FittedPipeline:
+class FittedPipeline(Json):
     """Everything fitted on training rows; prediction never refits."""
 
+    JSON_HEADER = {"format_version": 1}
     config: FrameworkConfig
     schema: DatasetSchema
     imputer: ImputerModel
@@ -123,10 +103,10 @@ class FittedPipeline:
     kept_onehot_cols: np.ndarray
     autoencoder: FittedAutoencoder | None
     params: NetworkParams
-    trace: list
-    valid_report: EvalReport
     feature_width: int
-    class_weights: dict | None = None
+    trace: list = field(default_factory=list, metadata=SKIP)
+    valid_report: EvalReport | None = field(default=None, metadata=SKIP)
+    class_weights: dict | None = field(default=None, metadata=SKIP)
     _network: object = field(default=None, init=False, repr=False, compare=False)
 
     def _model(self):
@@ -181,31 +161,12 @@ class FittedPipeline:
         q, _ = self._model().forward_batch(self.params, inputs)
         return evaluate(labels, q, threshold=self.config.train.threshold)
 
-    def to_json(self) -> dict:
-        return {
-            "format_version": 1,
-            "config": self.config.to_json(),
-            "schema": self.schema.to_json(),
-            "imputer": {
-                "k": self.imputer.k,
-                "reference_numeric": _finite_or_none(self.imputer.reference_numeric),
-                "reference_categorical": self.imputer.reference_categorical.tolist(),
-                "numeric_scale": self.imputer.numeric_scale.tolist(),
-                "column_mean": _finite_or_none(self.imputer.column_mean),
-                "column_mode": self.imputer.column_mode.tolist(),
-            },
-            "pca": self.pca.to_json(),
-            "mca": self.mca.to_json(),
-            "kept_onehot_cols": self.kept_onehot_cols.tolist(),
-            "autoencoder": None if self.autoencoder is None else self.autoencoder.to_json(),
-            "params": self.params.to_json(),
-            "feature_width": self.feature_width,
-        }
-
-
-def _finite_or_none(values: np.ndarray) -> list:
-    """Nested lists of ``values`` with JSON null for NaN and inf cells."""
-    return np.where(np.isfinite(values), values, None).tolist()
+    @classmethod
+    def from_json(cls, doc) -> "FittedPipeline":
+        """Read what ``to_json`` wrote; the imputer shares the pipeline's one schema."""
+        schema = DatasetSchema.from_json(doc.get("schema") if isinstance(doc, dict) else doc)
+        imputer = ImputerModel.from_json(doc.get("imputer"), schema=schema)
+        return super().from_json(doc, schema=schema, imputer=imputer)
 
 
 def _validation_split(dates: np.ndarray, fraction: float):
@@ -272,8 +233,6 @@ def _fit(train_deals, schema, config, class_weighted: bool):
         kept_onehot_cols=kept,
         autoencoder=autoencoder,
         params=None,
-        trace=[],
-        valid_report=None,
         feature_width=0,
     )
 
@@ -473,14 +432,17 @@ def hyper_search(
     overrides = _sample_overrides(space, budget, seed, strategy)
     train_deals = DealFrame.of(train_deals, schema)
 
-    def run_trial(index_and_overrides):
-        index, over = index_and_overrides
+    configs = []  # every candidate is decoded, so a bad one raises, before any trial trains
+    for index, over in enumerate(overrides):
         doc = base_config.to_json()
         for path, value in over.items():
             _set_path(doc, path, value)
         doc["seed"] = _trial_seed(seed, index)
         doc["objective"] = objective
-        config = FrameworkConfig.from_json(doc)
+        configs.append(FrameworkConfig.from_json(doc))
+
+    def run_trial(index_and_config):
+        index, config = index_and_config
         started = time.perf_counter()
         fitted = fit_pipeline(train_deals, schema, config)
         elapsed = time.perf_counter() - started
@@ -503,7 +465,7 @@ def hyper_search(
     workers = int(os.environ.get("MERGEPIPE_THREADS", "1") or "1")
     with ThreadPoolExecutor(max_workers=max(workers, 1)) as pool:
         run = pool.map if workers > 1 else map
-        for trial, fitted in run(run_trial, enumerate(overrides)):
+        for trial, fitted in run(run_trial, enumerate(configs)):
             results.append(trial)
             if best is None or rank(trial) < rank(best[0]):
                 best = trial, fitted

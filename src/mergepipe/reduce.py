@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .codec import Json
 from .dataset import DatasetSchema, DealFrame
 from .errors import DegenerateData, EmptyLevel, MissingCell, ShapeMismatch
 
@@ -45,33 +46,13 @@ def one_hot_encode(deals, schema: DatasetSchema) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class PcaModel:
+class PcaModel(Json):
+    JSON_HEADER = {"format_version": 1, "kind": "pca"}
     mean: np.ndarray  # (m,)
     scale: np.ndarray  # (m,) training std, zero-spread columns get 1
     components: np.ndarray  # (n_keep, m), orthonormal rows
     eigenvalues: np.ndarray  # (n_keep,), nonincreasing
     total_variance: float
-
-    def to_json(self) -> dict:
-        return {
-            "format_version": 1,
-            "kind": "pca",
-            "mean": self.mean.tolist(),
-            "scale": self.scale.tolist(),
-            "components": self.components.tolist(),
-            "eigenvalues": self.eigenvalues.tolist(),
-            "total_variance": self.total_variance,
-        }
-
-    @classmethod
-    def from_json(cls, doc: dict) -> "PcaModel":
-        return cls(
-            mean=np.asarray(doc["mean"], dtype=np.float64),
-            scale=np.asarray(doc["scale"], dtype=np.float64),
-            components=np.asarray(doc["components"], dtype=np.float64),
-            eigenvalues=np.asarray(doc["eigenvalues"], dtype=np.float64),
-            total_variance=float(doc["total_variance"]),
-        )
 
 
 def _fix_signs(vectors: np.ndarray) -> np.ndarray:
@@ -122,39 +103,14 @@ def pca_transform(model: PcaModel, X: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class McaModel:
+class McaModel(Json):
+    JSON_HEADER = {"format_version": 1, "kind": "mca"}
     column_masses: np.ndarray  # (J,), sums to 1
     n_vars: int  # Q: ones per row in the indicator matrix
     column_axes: np.ndarray  # (J, n_keep): D_c^{-1/2} V
     principal_inertias: np.ndarray  # (n_keep,), nonincreasing
     total_inertia: float
-    level_offsets: dict | None = None
-
-    def to_json(self) -> dict:
-        return {
-            "format_version": 1,
-            "kind": "mca",
-            "column_masses": self.column_masses.tolist(),
-            "n_vars": self.n_vars,
-            "column_axes": self.column_axes.tolist(),
-            "principal_inertias": self.principal_inertias.tolist(),
-            "total_inertia": self.total_inertia,
-            "level_offsets": self.level_offsets,
-        }
-
-    @classmethod
-    def from_json(cls, doc: dict) -> "McaModel":
-        offsets = doc.get("level_offsets")
-        if offsets is not None:
-            offsets = {k: tuple(v) for k, v in offsets.items()}
-        return cls(
-            column_masses=np.asarray(doc["column_masses"], dtype=np.float64),
-            n_vars=int(doc["n_vars"]),
-            column_axes=np.asarray(doc["column_axes"], dtype=np.float64),
-            principal_inertias=np.asarray(doc["principal_inertias"], dtype=np.float64),
-            total_inertia=float(doc["total_inertia"]),
-            level_offsets=offsets,
-        )
+    level_offsets: dict[str, tuple[int, int]] | None = None
 
 
 def _indicator_checks(X: np.ndarray) -> int:

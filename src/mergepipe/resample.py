@@ -13,11 +13,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
+from .codec import Json
 from .errors import BadConfig, SingleClass, TooFewMinority
 
 
 @dataclass(frozen=True)
-class SmoteConfig:
+class SmoteConfig(Json):
     k_neighbors: int = 5
     target_ratio: float = 1.0  # desired minority/majority count ratio
     seed: int = 0

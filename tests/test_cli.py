@@ -1,8 +1,11 @@
 import json
 
+import numpy as np
 import pytest
 
+from mergepipe import cli
 from mergepipe.cli import main
+from mergepipe.pipeline import FittedPipeline, run_config
 
 GEN_CONFIG = {
     "n_deals": 260,
@@ -59,6 +62,25 @@ def _with_bad_cell(deals_csv, tmp_path):
     return bad
 
 
+BAD_SCHEMAS = ("missing categorical_names", "a JSON list", "text sentiment_length",
+               "invalid JSON")
+
+
+def _bad_schema(deals_csv, tmp_path, case):
+    """A copy of the generated schema, broken as ``case`` names."""
+    doc = json.loads(deals_csv.with_suffix(".schema.json").read_text())
+    path = tmp_path / "bad.schema.json"
+    if case == "invalid JSON":
+        path.write_text(json.dumps(doc)[:-1])
+    else:
+        write_json(path, {
+            "missing categorical_names": {k: v for k, v in doc.items() if k != "categorical_names"},
+            "a JSON list": [doc],
+            "text sentiment_length": {**doc, "sentiment_length": "x"},
+        }[case])
+    return path
+
+
 class TestGenerate:
     def test_writes_configured_rows(self, deals_csv):
         lines = deals_csv.read_text().splitlines()
@@ -111,6 +133,21 @@ class TestGenerate:
             ["generate", "--config", str(cfg), "--seed", "1", "--out", str(tmp_path / "x.csv")]
         ) == 2
         assert f"bad generator config: {cfg} is not a JSON object" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("override", [
+        {"date_start": "2001-13-01"},
+        {"cutoff_date": "2010-02-30", "n_before_cutoff": 100},
+        {"levels_per_categorical": [3, None, 3]},
+    ])
+    def test_malformed_config_exit_2(self, tmp_path, capsys, override):
+        cfg = tmp_path / "gen.json"
+        write_json(cfg, {**GEN_CONFIG, **override})
+        assert main(
+            ["generate", "--config", str(cfg), "--seed", "1", "--out", str(tmp_path / "x.csv")]
+        ) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("mergepipe: error: bad generator config: ")
+        assert next(iter(override)) in err
 
 
 class TestRun:
@@ -254,6 +291,16 @@ class TestRun:
         assert code == 2
         assert "is not a JSON object" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("case", BAD_SCHEMAS)
+    def test_malformed_schema_exit_2(self, deals_csv, tmp_path, capsys, case):
+        schema = _bad_schema(deals_csv, tmp_path, case)
+        code = main(
+            ["run", "--preset", "f1/nn-recall", "--data", str(deals_csv),
+             "--schema", str(schema), "--out-dir", str(tmp_path / "bad")]
+        )
+        assert code == 2
+        assert f"cannot load data: schema {schema}: " in capsys.readouterr().err
+
     def test_out_dir_is_a_file_exit_1(self, deals_csv, tmp_path, capsys):
         run_cfg = tmp_path / "run.json"
         write_json(run_cfg, RUN_CONFIG)
@@ -348,6 +395,18 @@ class TestSearch:
         err = capsys.readouterr().err
         assert f"cannot load inputs: {bad}:3: column 'num_00' cannot parse 'abc'" in err
 
+    @pytest.mark.parametrize("case", BAD_SCHEMAS)
+    def test_malformed_schema_exit_2(self, deals_csv, tmp_path, capsys, case):
+        schema = _bad_schema(deals_csv, tmp_path, case)
+        space = tmp_path / "space.json"
+        write_json(space, SPACE)
+        code = main(
+            ["search", "--data", str(deals_csv), "--schema", str(schema), "--space", str(space),
+             "--budget", "2", "--out-dir", str(tmp_path / "s")]
+        )
+        assert code == 2
+        assert f"cannot load inputs: schema {schema}: " in capsys.readouterr().err
+
     def test_space_is_a_directory_exit_1(self, deals_csv, tmp_path, capsys):
         space = tmp_path / "space.json"
         space.mkdir()
@@ -409,3 +468,30 @@ class TestSearch:
         )
         assert code == 1
         assert "mergepipe: error: cannot write artifacts:" in capsys.readouterr().err
+
+
+class TestReload:
+    @pytest.mark.parametrize("framework", ["f1", "f2", "f3"])
+    def test_model_json_reloads_to_the_same_scores(self, tmp_path, monkeypatch, framework):
+        gen = tmp_path / "gen.json"
+        write_json(gen, {**GEN_CONFIG, "n_deals": 150, "cancel_rate": 0.3,
+                         "sentiment_length": 12, "sentiment_signal": 0.5})
+        data = tmp_path / "deals.csv"
+        assert main(["generate", "--config", str(gen), "--seed", "5", "--out", str(data)]) == 0
+        fits = []
+
+        def recorded(train, test, schema, config):
+            result = run_config(train, test, schema, config)
+            fits.append((result[0], test))
+            return result
+
+        monkeypatch.setattr(cli, "run_config", recorded)
+        out_dir = tmp_path / "run"
+        assert main(["run", "--preset", f"{framework}/smote-nn-f1", "--data", str(data),
+                     "--seed", "2", "--out-dir", str(out_dir)]) == 0
+        [(fitted, test)] = fits
+        text = (out_dir / "model.json").read_text()
+        loaded = FittedPipeline.from_json(json.loads(text))
+        assert loaded.scores(test).tobytes() == fitted.scores(test).tobytes()
+        assert np.isfinite(loaded.scores(test)).all()
+        assert json.dumps(loaded.to_json(), indent=2) + "\n" == text

@@ -478,6 +478,17 @@ class TestSearch:
                 base_config=self.base(), strategy="bogus",
             )
 
+    def test_bad_candidate_raises_before_any_trial_trains(self, monkeypatch):
+        train, _, schema = universe(seed=14, n=250)
+        fits = []
+        monkeypatch.setattr(pipeline, "fit_pipeline", lambda *args: fits.append(args))
+        with pytest.raises(BadConfig, match="learning_rate"):
+            hyper_search(
+                train, schema, {"train.learning_rate": [0.01, -1.0]}, budget=2,
+                objective="recall", seed=3, base_config=self.base(), strategy="grid",
+            )
+        assert fits == []
+
     def test_only_the_best_fitted_pipeline_is_kept(self, monkeypatch):
         train, test, schema = universe(seed=17, n=250)
         fit = pipeline.fit_pipeline
