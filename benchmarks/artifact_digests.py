@@ -5,9 +5,10 @@ walkthrough -- ``generate`` (5000 deals, seed 7), ``run --framework f1``,
 ``run --baseline weighted-logit``, ``run --preset f1/smote-nn-f1`` and the
 8-trial ``search`` -- plus ``run --preset f2/smote-nn-f1`` and
 ``run --preset f3/smote-nn-f1`` on the same data.  Then it prints one
-``<sha256>  <path>`` line per artifact, paths relative to that directory,
-skipping every ``manifest.json`` (it records wall time, so it differs from
-run to run).
+``<sha256>  <path>`` line per artifact, paths relative to that directory.
+A ``manifest.json`` records wall time, so it differs from run to run: in
+place of its hash the script prints the ``config_digest`` it holds, as
+``<config_digest>  <path>:config_digest``, one line per command.
 
 Comparing the output of two source trees tells whether a change kept the
 artifacts byte-identical:
@@ -86,13 +87,18 @@ def walkthrough(work: Path) -> None:
 
 
 def digests(work: Path) -> list:
-    """(sha256, relative path) of every artifact except manifests and inputs."""
+    """(sha256, relative path) of every artifact except inputs; a manifest
+    gives its config digest instead."""
     inputs = {"gen.json", "run.json", "space.json"}
     out = []
     for path in sorted(work.rglob("*")):
-        if path.is_file() and path.name != "manifest.json" and path.name not in inputs:
-            out.append((hashlib.sha256(path.read_bytes()).hexdigest(),
-                        path.relative_to(work).as_posix()))
+        if not path.is_file() or path.name in inputs:
+            continue
+        rel = path.relative_to(work).as_posix()
+        if path.name == "manifest.json":
+            out.append((json.loads(path.read_text())["config_digest"], f"{rel}:config_digest"))
+        else:
+            out.append((hashlib.sha256(path.read_bytes()).hexdigest(), rel))
     return out
 
 

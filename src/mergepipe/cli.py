@@ -40,9 +40,7 @@ from .errors import BadConfig, EmptySpace, MergepipeError
 from .metrics import curve_to_csv
 from .pipeline import (
     FrameworkConfig,
-    fit_logit,
     hyper_search,
-    logit_config,
     run_config,
 )
 from .presets import PRESET_NAMES, preset
@@ -170,10 +168,7 @@ def cmd_run(args) -> int:
                 return _die(2, f"preset {args.preset!r} is a {config.framework} setup, "
                                f"not {args.framework}")
         elif args.baseline:
-            overrides = dict(config_doc)
-            overrides.pop("framework", None)
-            overrides.pop("network", None)
-            config = _logit_from_doc(overrides)
+            config = _logit_from_doc(config_doc, weighted=args.baseline == "weighted-logit")
         else:
             config = FrameworkConfig.from_json(config_doc)
             if config.framework != args.framework:
@@ -190,13 +185,7 @@ def cmd_run(args) -> int:
 
     try:
         train, test = temporal_split(deals, split_spec)
-        if args.baseline:
-            fitted, in_rep, out_rep = fit_logit(
-                train, test, schema, use_class_weights=args.baseline == "weighted-logit",
-                config=config,
-            )
-        else:
-            fitted, in_rep, out_rep = run_config(train, test, schema, config)
+        fitted, in_rep, out_rep = run_config(train, test, schema, config)
     except MergepipeError as exc:
         return _die(3, f"pipeline failure [{type(exc).__name__}]: {exc}")
 
@@ -224,11 +213,13 @@ def cmd_run(args) -> int:
     return 0
 
 
-def _logit_from_doc(overrides: dict) -> FrameworkConfig:
-    doc = logit_config().to_json()
-    doc.update(overrides)
-    doc["framework"] = "f1"
-    doc["network"] = {"layers": [], "loss": {"kind": "cross_entropy"}, "seed": doc.get("seed", 0)}
+def _logit_from_doc(overrides: dict, weighted: bool) -> FrameworkConfig:
+    """The logit config; ``overrides`` cannot change its framework or network."""
+    loss = "weighted_cross_entropy" if weighted else "cross_entropy"
+    network = {"layers": [], "loss": {"kind": loss}, "seed": overrides.get("seed", 0)}
+    doc = {**overrides, "framework": "f1", "network": network}
+    if weighted:
+        doc["use_smote"] = False
     return FrameworkConfig.from_json(doc)
 
 

@@ -20,13 +20,13 @@ EPS = 1e-12
 
 @dataclass(frozen=True)
 class LossKind(Json):
-    kind: str  # cross_entropy | focal | f1 | tversky
+    kind: str  # cross_entropy | weighted_cross_entropy | focal | f1 | tversky
     gamma: float = 2.0  # focal only
     alpha: float = 0.3  # tversky: false-positive weight
     beta: float = 0.7  # tversky: false-negative weight
 
     def __post_init__(self):
-        if self.kind not in ("cross_entropy", "focal", "f1", "tversky"):
+        if self.kind not in ("cross_entropy", "weighted_cross_entropy", "focal", "f1", "tversky"):
             raise BadConfig(f"unknown loss kind {self.kind!r}")
         if self.kind == "focal" and not self.gamma > 0:
             raise BadConfig("focal gamma must be > 0")
@@ -37,6 +37,10 @@ class LossKind(Json):
     @classmethod
     def cross_entropy(cls):
         return cls("cross_entropy")
+
+    @classmethod
+    def weighted_cross_entropy(cls):
+        return cls("weighted_cross_entropy")
 
     @classmethod
     def focal(cls, gamma: float = 2.0):
@@ -70,13 +74,13 @@ def _checked(p, q):
 
 def loss_value_and_grad(kind: LossKind, p, q, weights=None):
     """The loss and d(loss)/dq from one clamp of q, evaluated at the clamped
-    probabilities.  ``weights`` scales each sample's cross-entropy term; the
-    other losses take none."""
+    probabilities.  ``weights`` scales each sample's weighted cross-entropy
+    term; without them it is cross-entropy.  The other losses take none."""
     p, q = _checked(p, q)
     n = p.shape[0]
-    if weights is not None and kind.kind != "cross_entropy":
-        raise BadConfig("sample weights are only supported with cross-entropy loss")
-    if kind.kind == "cross_entropy":
+    if weights is not None and kind.kind != "weighted_cross_entropy":
+        raise BadConfig("sample weights are only supported with weighted cross-entropy loss")
+    if kind.kind in ("cross_entropy", "weighted_cross_entropy"):
         per_sample = -(p * np.log(q) + (1.0 - p) * np.log(1.0 - q))
         grad = -(p / q - (1.0 - p) / (1.0 - q)) / n
         if weights is None:

@@ -126,6 +126,9 @@ class NetworkParams(Json):
     values: np.ndarray
 
     def __post_init__(self):
+        size = sum(math.prod(shape) for _, _, shape in self.layout)
+        if self.values.size != size:
+            raise BadConfig(f"params hold {self.values.size} values; the layout needs {size}")
         # name -> array view into values, resolved once instead of on every
         # view call; values is only ever updated in place
         self._views = {

@@ -88,6 +88,8 @@ class FrameworkConfig(Json):
         if any(l.kind != "dense" for l in self.network.layers):
             raise BadConfig("framework networks use dense layers; the f3 sequence branch "
                             "is configured through lstm_width")
+        if self.use_smote and self.network.loss.kind == "weighted_cross_entropy":
+            raise BadConfig("weighted_cross_entropy replaces SMOTE; set use_smote to false")
 
 
 @dataclass
@@ -106,7 +108,6 @@ class FittedPipeline(Json):
     feature_width: int
     trace: list = field(default_factory=list, metadata=SKIP)
     valid_report: EvalReport | None = field(default=None, metadata=SKIP)
-    class_weights: dict | None = field(default=None, metadata=SKIP)
     _network: object = field(default=None, init=False, repr=False, compare=False)
 
     def _model(self):
@@ -138,10 +139,14 @@ class FittedPipeline(Json):
     def features(self, deals):
         """Imputed + reduced model inputs for raw deals (a frame or records)."""
         imputed = impute(self.imputer, deals)
+        sequences = None if self.config.framework == "f1" else sentiment_matrix(imputed, self.schema)
+        return self._inputs(imputed, sequences)
+
+    def _inputs(self, imputed: DealFrame, sequences) -> tuple:
+        """Model inputs for imputed rows; ``sequences`` is None for f1."""
         tabular = self.tabular_features(imputed)
         if self.config.framework == "f1":
             return (tabular,)
-        sequences = sentiment_matrix(imputed, self.schema)
         if self.config.framework == "f2":
             embedding = autoencoder_encode(self.autoencoder, sequences)
             return (np.concatenate((tabular, embedding), axis=1),)
@@ -181,19 +186,18 @@ def _validation_split(dates: np.ndarray, fraction: float):
 
 
 def fit_pipeline(train_deals, schema: DatasetSchema, config: FrameworkConfig) -> FittedPipeline:
-    fitted, _, _ = _fit(train_deals, schema, config, class_weighted=False)
+    fitted, _, _ = _fit(train_deals, schema, config)
     return fitted
 
 
-def _fit(train_deals, schema, config, class_weighted: bool):
+def _fit(train_deals, schema, config):
     """The one fit path; returns the fitted pipeline plus the training
     labels and model inputs, which only an in-sample report reads, so the
     pipeline itself keeps no training rows.
 
-    class_weighted (set only by fit_logit) trains with inverse-frequency
-    sample weights on the un-resampled fit rows, in place of SMOTE even when
-    the config enables it."""
+    A weighted_cross_entropy loss weights the fit rows by inverse class frequency."""
     train_deals = DealFrame.of(train_deals, schema)
+    sequences = None
     if config.framework in ("f2", "f3"):
         if schema.sentiment_length == 0:
             raise MissingSentiment("schema carries no sentiment columns")
@@ -236,37 +240,24 @@ def _fit(train_deals, schema, config, class_weighted: bool):
         feature_width=0,
     )
 
-    tabular = partial.tabular_features(train_imputed)
+    train_inputs = partial._inputs(train_imputed, sequences)
+    width = partial.feature_width = train_inputs[0].shape[1]
     y = train_imputed.labels.astype(np.float64)
     fit_idx, valid_idx = _validation_split(train_imputed.dates, config.validation_fraction)
     fit_y = y[fit_idx]
-
-    if config.framework == "f3":
-        partial.feature_width = tabular.shape[1]
-        # tabular block and raw sequence ride one vector through SMOTE,
-        # then split back into the two branches
-        fit_x = np.hstack([tabular[fit_idx], sequences[fit_idx]])
-        train_inputs = (tabular, sequences)
-        valid_inputs = (tabular[valid_idx], sequences[valid_idx])
-    else:
-        if config.framework == "f2":
-            embedding = autoencoder_encode(autoencoder, sequences)
-            features = np.hstack([tabular, embedding])
-        else:
-            features = tabular
-        partial.feature_width = features.shape[1]
-        fit_x = features[fit_idx]
-        train_inputs = (features,)
-        valid_inputs = (features[valid_idx],)
+    valid_inputs = tuple(a[valid_idx] for a in train_inputs)
+    # f3's tabular block and raw sequence ride one vector through SMOTE,
+    # then split back into the two branches
+    fit_x = (train_inputs[0][fit_idx] if len(train_inputs) == 1
+             else np.hstack([a[fit_idx] for a in train_inputs]))
 
     sample_weight = None
-    if class_weighted:
-        cw = partial.class_weights = class_weights(fit_y)
+    if config.network.loss.kind == "weighted_cross_entropy":
+        cw = class_weights(fit_y)
         sample_weight = np.where(fit_y > 0, cw["positive"], cw["negative"])
     elif config.use_smote:
         fit_x, fit_y = smote(fit_x, fit_y, config.smote)
-    width = partial.feature_width
-    fit_inputs = (fit_x[:, :width], fit_x[:, width:]) if config.framework == "f3" else (fit_x,)
+    fit_inputs = (fit_x,) if len(train_inputs) == 1 else (fit_x[:, :width], fit_x[:, width:])
 
     model = partial._model()
     params, trace = train(
@@ -300,7 +291,7 @@ def run_framework3(train_deals, test_deals, schema: DatasetSchema, config: Frame
 
 def run_config(train_deals, test_deals, schema: DatasetSchema, config: FrameworkConfig):
     """Fit on train_deals; return (fitted, in-sample report, test report)."""
-    fitted, y, inputs = _fit(train_deals, schema, config, class_weighted=False)
+    fitted, y, inputs = _fit(train_deals, schema, config)
     return fitted, fitted._report_on_inputs(y, inputs), fitted.evaluate_on(test_deals)
 
 
@@ -323,15 +314,16 @@ def fit_logit(
     """Cross-entropy logistic baseline; returns (fitted, in-sample report,
     test report).
 
-    With use_class_weights, inverse-frequency class weights (normalized to
-    mean one) replace SMOTE: the logit trains once, with per-row sample
-    weights, on the un-resampled fit rows, whatever the config's use_smote.
+    With use_class_weights, the loss becomes weighted_cross_entropy and
+    SMOTE is switched off, whatever the config's use_smote.
     """
     config = config or logit_config()
     if config.network.layers:
         raise BadConfig("logit baseline uses an empty layer stack")
-    fitted, y, inputs = _fit(train_deals, schema, config, class_weighted=use_class_weights)
-    return fitted, fitted._report_on_inputs(y, inputs), fitted.evaluate_on(test_deals)
+    if use_class_weights:
+        network = dataclasses.replace(config.network, loss=LossKind.weighted_cross_entropy())
+        config = dataclasses.replace(config, network=network, use_smote=False)
+    return run_config(train_deals, test_deals, schema, config)
 
 
 def class_weights(labels) -> dict:
@@ -359,11 +351,17 @@ class TrialResult:
 
 
 def _set_path(doc: dict, path: str, value):
-    keys = path.split(".")
-    node = doc
-    for key in keys[:-1]:
-        node = node[key]
-    node[keys[-1]] = value
+    """Set the value at a dotted path through existing config-JSON entries;
+    a list takes an integer index."""
+    node, keys = doc, path.split(".")
+    for depth, key in enumerate(keys, start=1):
+        if isinstance(node, list) and key.isdecimal() and int(key) < len(node):
+            key = int(key)
+        elif not (isinstance(node, dict) and key in node):
+            raise BadConfig(f"space path {path!r} has no entry {key!r}")
+        if depth < len(keys):
+            node = node[key]
+    node[key] = value
 
 
 def _objective_value(report: EvalReport, objective: str) -> float:

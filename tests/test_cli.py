@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 from mergepipe import cli
 from mergepipe.cli import main
-from mergepipe.pipeline import FittedPipeline, run_config
+from mergepipe.pipeline import FittedPipeline, fit_pipeline, run_config
 
 GEN_CONFIG = {
     "n_deals": 260,
@@ -280,6 +281,17 @@ class TestRun:
         )
         assert code == 2
 
+    def test_weighted_loss_with_smote_exit_2(self, deals_csv, tmp_path, capsys):
+        network = {**RUN_CONFIG["network"], "loss": {"kind": "weighted_cross_entropy"}}
+        run_cfg = tmp_path / "run.json"
+        write_json(run_cfg, {**RUN_CONFIG, "network": network, "use_smote": True})
+        code = main(
+            ["run", "--framework", "f1", "--data", str(deals_csv),
+             "--config", str(run_cfg), "--out-dir", str(tmp_path / "bad")]
+        )
+        assert code == 2
+        assert "weighted_cross_entropy replaces SMOTE" in capsys.readouterr().err
+
     @pytest.mark.parametrize("doc", [[1, 2], {**RUN_CONFIG, "split": [0.8]}])
     def test_config_not_an_object_exit_2(self, deals_csv, tmp_path, capsys, doc):
         run_cfg = tmp_path / "run.json"
@@ -457,6 +469,37 @@ class TestSearch:
         err = capsys.readouterr().err
         assert err.startswith("mergepipe: error: ") and message in err
 
+    def test_space_path_indexes_a_list(self, deals_csv, tmp_path):
+        space = tmp_path / "space.json"
+        write_json(space, {**SPACE, "space": {"network.layers.0.width": [4, 12]}})
+        out_dir = tmp_path / "s"
+        code = main(
+            ["search", "--data", str(deals_csv), "--space", str(space),
+             "--budget", "2", "--out-dir", str(out_dir)]
+        )
+        assert code == 0
+        widths = {json.loads(row["config"])["network"]["layers"][0]["width"]
+                  for row in csv.DictReader((out_dir / "trials.csv").read_text().splitlines())}
+        assert widths == {4, 12}
+
+    @pytest.mark.parametrize(
+        "path, entry",
+        [
+            ("network.layers.1.width", "'1'"),
+            ("network.layers.first.width", "'first'"),
+            ("network.stack.0.width", "'stack'"),
+        ],
+    )
+    def test_bad_space_path_exit_2(self, deals_csv, tmp_path, capsys, path, entry):
+        space = tmp_path / "space.json"
+        write_json(space, {**SPACE, "space": {path: [4, 12]}})
+        code = main(
+            ["search", "--data", str(deals_csv), "--space", str(space),
+             "--budget", "2", "--out-dir", str(tmp_path / "s")]
+        )
+        assert code == 2
+        assert f"space path {path!r} has no entry {entry}" in capsys.readouterr().err
+
     def test_out_dir_is_a_file_exit_1(self, deals_csv, tmp_path, capsys):
         space = tmp_path / "space.json"
         write_json(space, {**SPACE, "space": {"train.learning_rate": [0.02]}})
@@ -471,27 +514,63 @@ class TestSearch:
 
 
 class TestReload:
-    @pytest.mark.parametrize("framework", ["f1", "f2", "f3"])
-    def test_model_json_reloads_to_the_same_scores(self, tmp_path, monkeypatch, framework):
+    @pytest.fixture()
+    def data(self, tmp_path):
         gen = tmp_path / "gen.json"
         write_json(gen, {**GEN_CONFIG, "n_deals": 150, "cancel_rate": 0.3,
                          "sentiment_length": 12, "sentiment_signal": 0.5})
         data = tmp_path / "deals.csv"
         assert main(["generate", "--config", str(gen), "--seed", "5", "--out", str(data)]) == 0
+        return data
+
+    @pytest.fixture()
+    def fits(self, monkeypatch):
+        """(fitted, train, test, schema) of every run_config call the CLI makes."""
         fits = []
 
         def recorded(train, test, schema, config):
             result = run_config(train, test, schema, config)
-            fits.append((result[0], test))
+            fits.append((result[0], train, test, schema))
             return result
 
         monkeypatch.setattr(cli, "run_config", recorded)
+        return fits
+
+    @pytest.mark.parametrize("framework", ["f1", "f2", "f3"])
+    def test_model_json_reloads_to_the_same_scores(self, tmp_path, data, fits, framework):
         out_dir = tmp_path / "run"
         assert main(["run", "--preset", f"{framework}/smote-nn-f1", "--data", str(data),
                      "--seed", "2", "--out-dir", str(out_dir)]) == 0
-        [(fitted, test)] = fits
+        [(fitted, _, test, _)] = fits
         text = (out_dir / "model.json").read_text()
         loaded = FittedPipeline.from_json(json.loads(text))
         assert loaded.scores(test).tobytes() == fitted.scores(test).tobytes()
         assert np.isfinite(loaded.scores(test)).all()
         assert json.dumps(loaded.to_json(), indent=2) + "\n" == text
+
+    @pytest.mark.parametrize(
+        "route", [["--preset", "f1/smote-nn-f1"], ["--baseline", "logit"],
+                  ["--baseline", "weighted-logit"]],
+        ids=lambda route: route[1],
+    )
+    def test_saved_config_alone_reproduces_the_fit(self, tmp_path, data, fits, route):
+        run_cfg = tmp_path / "run.json"
+        write_json(run_cfg, {"split": {"train_fraction": 0.8}, "use_smote": True, "pca_dims": 4,
+                             "mca_dims": 3, "train": RUN_CONFIG["train"]})
+        out_dir = tmp_path / "run"
+        config = [] if route[0] == "--preset" else ["--config", str(run_cfg)]
+        assert main(["run", *route, "--data", str(data), *config, "--seed", "2",
+                     "--out-dir", str(out_dir)]) == 0
+        [(fitted, train, _, schema)] = fits
+        saved = FittedPipeline.from_json(json.loads((out_dir / "model.json").read_text()))
+        refit = fit_pipeline(train, schema, saved.config)
+        assert refit.params.values.tobytes() == fitted.params.values.tobytes()
+
+    def test_baselines_have_distinct_config_digests(self, tmp_path, data):
+        digests = set()
+        for baseline in ("logit", "weighted-logit"):
+            out_dir = tmp_path / baseline
+            assert main(["run", "--baseline", baseline, "--data", str(data),
+                         "--out-dir", str(out_dir)]) == 0
+            digests.add(json.loads((out_dir / "manifest.json").read_text())["config_digest"])
+        assert len(digests) == 2

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from mergepipe.errors import LengthMismatch
+from mergepipe.errors import BadConfig, LengthMismatch
 from mergepipe.neural import LossKind, loss_eval, loss_grad
+from mergepipe.neural.losses import loss_value_and_grad
 
 
 def random_pq(rng, n=16):
@@ -61,6 +62,16 @@ def test_focal_gamma_to_zero_matches_cross_entropy():
     g_ce = loss_grad(LossKind.cross_entropy(), p, q)
     g_fl = loss_grad(LossKind.focal(gamma=1e-8), p, q)
     assert np.allclose(g_ce, g_fl, atol=1e-6)
+
+
+def test_weighted_cross_entropy_with_unit_weights_is_cross_entropy_bitwise():
+    p, q = random_pq(np.random.default_rng(4))
+    value, grad = loss_value_and_grad(LossKind.cross_entropy(), p, q)
+    w_value, w_grad = loss_value_and_grad(LossKind.weighted_cross_entropy(), p, q, np.ones(16))
+    assert w_value == value
+    assert w_grad.tobytes() == grad.tobytes()
+    with pytest.raises(BadConfig, match="weighted cross-entropy"):
+        loss_value_and_grad(LossKind.cross_entropy(), p, q, np.ones(16))
 
 
 def test_cross_entropy_gradient_value():

@@ -381,6 +381,13 @@ def test_params_json_round_trip():
     assert again.layout == params.layout
 
 
+def test_params_shorter_than_layout_raise_bad_config():
+    doc = {"format_version": 1, "init_seed": 0, "layout": [["d0.w", 0, [3, 2]]],
+           "values": [0.0, 0.0]}
+    with pytest.raises(BadConfig, match="params hold 2 values; the layout needs 6"):
+        NetworkParams.from_json(doc)
+
+
 def test_spec_json_round_trip():
     spec = NetworkSpec(
         layers=(LayerSpec("dense", 32, "selu"), LayerSpec("dense", 8, "elu")),
@@ -390,3 +397,6 @@ def test_spec_json_round_trip():
     assert NetworkSpec.from_json(spec.to_json()) == spec
     focal = NetworkSpec(layers=(), loss=LossKind.focal(gamma=1.5), seed=0)
     assert NetworkSpec.from_json(focal.to_json()) == focal
+    weighted = NetworkSpec(layers=(), loss=LossKind.weighted_cross_entropy(), seed=0)
+    assert weighted.to_json()["loss"] == {"kind": "weighted_cross_entropy"}
+    assert NetworkSpec.from_json(weighted.to_json()) == weighted

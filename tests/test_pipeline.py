@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from mergepipe.dataset import (
+    DealFrame,
     DealRecord,
     GeneratorConfig,
     SplitSpec,
@@ -265,10 +266,14 @@ class TestLogit:
 
         monkeypatch.setattr(pipeline, "train", counted_train)
         monkeypatch.setattr(pipeline, "smote", counted_smote)
-        fitted, _, _ = fit_logit(train, test, schema, use_class_weights=True, config=config)
+        fit_logit(train, test, schema, use_class_weights=True, config=config)
         assert len(weights_seen) == 1
-        cw = fitted.class_weights
-        assert set(np.unique(weights_seen[0])) == {cw["positive"], cw["negative"]}
+        frame = DealFrame.of(train, schema)
+        fit_idx, _ = pipeline._validation_split(frame.dates, config.validation_fraction)
+        fit_y = frame.labels[fit_idx].astype(np.float64)
+        cw = class_weights(fit_y)
+        expected = np.where(fit_y > 0, cw["positive"], cw["negative"])
+        assert weights_seen[0].tobytes() == expected.tobytes()
         assert smote_calls == []
 
 
