@@ -8,7 +8,10 @@ walkthrough -- ``generate`` (5000 deals, seed 7), ``run --framework f1``,
 ``<sha256>  <path>`` line per artifact, paths relative to that directory.
 A ``manifest.json`` records wall time, so it differs from run to run: in
 place of its hash the script prints the ``config_digest`` it holds, as
-``<config_digest>  <path>:config_digest``, one line per command.
+``<config_digest>  <path>:config_digest``, one line per command.  The CSV
+cache the first ``run`` writes beside the data (``deals.csv.mergepipe-cache``)
+is hashed like any artifact, one line per cached CSV: its bytes depend only
+on the CSV and the schema, so it repeats across runs too.
 
 Comparing the output of two source trees tells whether a change kept the
 artifacts byte-identical:

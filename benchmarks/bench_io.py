@@ -1,6 +1,7 @@
 """Time the data and model I/O at the paper shape: in-process ``mergepipe
-generate``, ``load_deals_csv`` of the CSV it writes, and writing and
-reloading the ``model.json`` of an f1 fit on it.
+generate``, ``load_deals_csv`` of the CSV it writes, the CLI's cached load of
+that CSV on a miss and on a hit, and writing and reloading the
+``model.json`` of an f1 fit on it.
 
 The shape is the README generator config: 5000 deals, 20 numeric and 10
 categorical columns, a 121-day sentiment path and 5% missing cells, at seed
@@ -9,12 +10,15 @@ perfbench's set-up runs it; the load reads that CSV back.  The model is
 ``f1/smote-nn-f1`` at seed 1, fitted once on the first 80% of the deals by
 date.  Its write row is ``FittedPipeline.to_json`` plus the dump ``mergepipe
 run`` makes; its cold-start row loads that ``model.json`` with
-``FittedPipeline.from_json`` and scores one test deal.  A source tree without
-the loader times the write row only.  Every row is the best of ``--repeat``
-calls.  The rows, the shape and the provenance (Python,
-numpy, BLAS threads, CPU count, and the git commit of the ``mergepipe``
-source that was timed) are appended as one entry to ``BENCH_io.json`` at the
-repository root; ``--label`` names the entry.
+``FittedPipeline.from_json`` and scores one test deal.  The cached-load rows
+call ``load_deals_cached``, the CLI's loader: on a miss (the cache file
+deleted first, so the row is hashing, parsing, hashing again and writing the
+cache) and on a hit (hashing and reading the cache back).  A source tree
+without ``FittedPipeline.from_json`` or ``load_deals_cached`` leaves out the
+rows it lacks.  Every row is the best of ``--repeat`` calls.  The rows, the
+shape and the provenance (Python, numpy, BLAS threads, CPU count, and the git
+commit of the ``mergepipe`` source that was timed) are appended as one entry
+to ``BENCH_io.json`` at the repository root; ``--label`` names the entry.
 
 Run: python benchmarks/bench_io.py [--deals 5000] [--repeat 5] [--label TEXT]
 """
@@ -31,7 +35,7 @@ from pathlib import Path
 # bench_kernels fixes BLAS to one thread, as perfbench does, before numpy loads
 from bench_kernels import append_entry, provenance, show, timeit
 
-from mergepipe import cli
+from mergepipe import cli, dataset
 from mergepipe.cli import main as cli_main
 from mergepipe.dataset import SplitSpec, load_deals_csv, load_schema_json, temporal_split
 from mergepipe.pipeline import FittedPipeline, fit_pipeline
@@ -60,8 +64,22 @@ def bench_io(n_deals, repeat):
         schema = load_schema_json(data.with_suffix(".schema.json"))
         load_s = timeit(lambda: load_deals_csv(data, schema), repeat)
         csv_rows = [("generate", generate_s), ("load_deals_csv", load_s)]
+        if hasattr(dataset, "load_deals_cached"):
+            csv_rows += bench_cached_load(data, schema, repeat)
         model_rows = bench_model_io(Path(tmp), load_deals_csv(data, schema), schema, repeat)
         return csv_rows, model_rows, data.stat().st_size
+
+
+def bench_cached_load(data, schema, repeat):
+    cache = data.with_name(data.name + dataset.CACHE_SUFFIX)
+
+    def miss():
+        cache.unlink(missing_ok=True)
+        dataset.load_deals_cached(data, schema)
+
+    miss_s = timeit(miss, repeat)
+    hit_s = timeit(lambda: dataset.load_deals_cached(data, schema), repeat)
+    return [("cached load, miss", miss_s), ("cached load, hit", hit_s)]
 
 
 def bench_model_io(tmp, deals, schema, repeat):

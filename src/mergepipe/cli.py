@@ -30,7 +30,7 @@ from .dataset import (
     GeneratorConfig,
     SplitSpec,
     generate_frame,
-    load_deals_csv,
+    load_deals_cached,
     load_schema_json,
     temporal_split,
     write_deals_csv,
@@ -126,7 +126,7 @@ def _load_dataset(args):
     if not schema_path.exists():
         raise FileNotFoundError(f"schema file not found: {schema_path}")
     schema = load_schema_json(schema_path)
-    deals = load_deals_csv(data_path, schema)
+    deals = load_deals_cached(data_path, schema)
     return deals, schema
 
 

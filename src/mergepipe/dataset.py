@@ -2,14 +2,19 @@
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import dataclasses
 import datetime as dt
+import hashlib
 import json
 import math
+import os
 import re
+import tempfile
 from array import array
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -300,6 +305,134 @@ def load_deals_csv(path, schema: DatasetSchema) -> "DealFrame":
         has_sentiment=np.array(has_sentiment, dtype=bool),
         labels=np.array(labels, dtype=np.int64),
     )
+
+
+# Bump CACHE_FORMAT whenever load_deals_csv returns anything else for the same
+# bytes, or the cache layout below changes: every older cache then misses.
+CACHE_FORMAT = 1
+CACHE_SUFFIX = ".mergepipe-cache"
+_CACHE_MAGIC = b"mergepipe deal cache\n"
+_HASH_CHUNK = 1 << 20
+
+
+def _cache_key(path, schema: DatasetSchema) -> bytes:
+    """sha256 of the cache format, the schema's canonical JSON and the
+    file's bytes, read in ``_HASH_CHUNK`` chunks."""
+    canonical = json.dumps(schema.to_json(), sort_keys=True, separators=(",", ":"))
+    digest = hashlib.sha256(f"{CACHE_FORMAT}\n{canonical}\n".encode())
+    with open(path, "rb") as fh:
+        while chunk := fh.read(_HASH_CHUNK):
+            digest.update(chunk)
+    return digest.digest()
+
+
+def _cache_layout(schema: DatasetSchema, n: int, id_bytes: int) -> tuple:
+    """(dtype, shape) of each block after the sizes block, in file order:
+    the UTF-8 deal ids end to end, each id's end in characters, then the
+    frame's columns in ``_COLUMNS`` order."""
+    return (
+        (np.uint8, (id_bytes,)),
+        (np.int64, (n,)),
+        (np.int64, (n,)),
+        (np.float64, (n, schema.n_numeric)),
+        (np.int64, (n, schema.n_categorical)),
+        (np.float64, (n, schema.sentiment_length)),
+        (np.bool_, (n,)),
+        (np.int64, (n,)),
+    )
+
+
+def _read_block(fh, size: int, dtype, shape: tuple) -> np.ndarray:
+    """The next .npy block of ``fh``; ValueError unless its header declares
+    ``dtype`` cells in C order and ``shape``, and the file holds them."""
+    if np.lib.format.read_magic(fh) != (1, 0):
+        raise ValueError("not a version 1.0 .npy block")
+    dtype = np.dtype(dtype)
+    if np.lib.format.read_array_header_1_0(fh) != (shape, False, dtype):
+        raise ValueError("block header does not match the schema")
+    count = math.prod(shape)
+    if min(shape, default=0) < 0 or count * dtype.itemsize > size - fh.tell():
+        raise ValueError("block runs past the end of the file")
+    block = np.fromfile(fh, dtype=dtype, count=count)
+    if block.size != count:
+        raise ValueError("block is truncated")
+    return block.reshape(shape)
+
+
+def _read_cache(cache: Path, key: bytes, schema: DatasetSchema) -> "DealFrame | None":
+    """The frame ``cache`` holds under ``key``; None when the file is
+    missing, unreadable, stale, truncated or malformed."""
+    try:
+        with open(cache, "rb") as fh:
+            if fh.read(len(_CACHE_MAGIC) + len(key)) != _CACHE_MAGIC + key:
+                return None
+            size = os.fstat(fh.fileno()).st_size
+            n, id_bytes = _read_block(fh, size, np.int64, (2,)).tolist()
+            text, ends, *columns = [
+                _read_block(fh, size, dtype, shape)
+                for dtype, shape in _cache_layout(schema, n, id_bytes)
+            ]
+            if fh.read(1):
+                return None
+        ids = text.tobytes().decode()
+    except (OSError, ValueError):  # UnicodeDecodeError is a ValueError
+        return None
+    bounds = [0, *ends.tolist()]
+    if bounds[-1] != len(ids) or any(a > b for a, b in zip(bounds, bounds[1:])):
+        return None
+    deal_ids = np.array([ids[a:b] for a, b in zip(bounds, bounds[1:])], dtype=object)
+    return DealFrame(schema, deal_ids, *columns)
+
+
+def _write_cache(cache: Path, key: bytes, frame: "DealFrame") -> None:
+    """Write ``frame`` to ``cache`` through a temporary file and ``os.replace``.
+
+    Blocks are .npy version 1.0 with no timestamp, so the bytes depend on the
+    key and the frame alone.
+    """
+    ids = frame.deal_ids.tolist()
+    text = "".join(ids).encode()
+    ends = np.cumsum([len(i) for i in ids], dtype=np.int64)
+    blocks = [np.array([len(ids), len(text)], dtype=np.int64), np.frombuffer(text, np.uint8),
+              ends, *(getattr(frame, c) for c in _COLUMNS[1:])]
+    fd, tmp = tempfile.mkstemp(dir=cache.parent, prefix=cache.stem + ".", suffix=CACHE_SUFFIX)
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(_CACHE_MAGIC + key)
+            for block in blocks:
+                np.lib.format.write_array(fh, block, version=(1, 0), allow_pickle=False)
+        os.replace(tmp, cache)
+    finally:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+
+
+def load_deals_cached(path, schema: DatasetSchema) -> "DealFrame":
+    """``load_deals_csv``, read back from ``<path>.mergepipe-cache`` when that
+    file holds these bytes parsed under this schema.
+
+    The cache key is the sha256 of ``CACHE_FORMAT``, the schema's canonical
+    JSON and the CSV's bytes.  On a miss, or when the cache is stale,
+    truncated or malformed, the CSV is parsed by ``load_deals_csv``, so every
+    check and error is the parser's, and the cache is rewritten.  Nothing is
+    cached for a path that is not a regular file, a file whose bytes changed
+    while it was parsed, or a directory that cannot be written.
+    """
+    path = Path(path)
+    try:
+        key = _cache_key(path, schema) if path.is_file() else None
+    except OSError:
+        key = None
+    if key is None:
+        return load_deals_csv(path, schema)
+    cache = path.with_name(path.name + CACHE_SUFFIX)
+    frame = _read_cache(cache, key, schema)
+    if frame is None:
+        frame = load_deals_csv(path, schema)
+        with contextlib.suppress(OSError):
+            if _cache_key(path, schema) == key:
+                _write_cache(cache, key, frame)
+    return frame
 
 
 # rows formatted per write: the writer holds one chunk of text beyond the

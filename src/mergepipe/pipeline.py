@@ -79,8 +79,12 @@ class FrameworkConfig(Json):
             raise BadConfig(f"framework must be one of {FRAMEWORKS}")
         if self.objective not in OBJECTIVES:
             raise BadConfig(f"objective must be one of {OBJECTIVES}")
-        if self.embedding_dim < 1:
-            raise BadConfig("embedding_dim must be >= 1")
+        for name in ("pca_dims", "mca_dims", "embedding_dim", "autoencoder_hidden",
+                     "lstm_width", "impute_k"):
+            if getattr(self, name) < 1:
+                raise BadConfig(f"{name} must be >= 1")
+        if self.autoencoder_epochs < 0:
+            raise BadConfig("autoencoder_epochs must be >= 0")
         if not (0.0 < self.validation_fraction < 0.5):
             raise BadConfig("validation_fraction must lie in (0, 0.5)")
         if self.framework == "f3" and not self.network.layers:

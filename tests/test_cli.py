@@ -4,8 +4,9 @@ import json
 import numpy as np
 import pytest
 
-from mergepipe import cli
+from mergepipe import cli, dataset, pipeline
 from mergepipe.cli import main
+from mergepipe.dataset import CACHE_SUFFIX
 from mergepipe.pipeline import FittedPipeline, fit_pipeline, run_config
 
 GEN_CONFIG = {
@@ -48,6 +49,14 @@ def deals_csv(tmp_path):
     out = tmp_path / "deals.csv"
     assert main(["generate", "--config", str(cfg), "--seed", "7", "--out", str(out)]) == 0
     return out
+
+
+def refuse(*args, **kwargs):
+    raise AssertionError("must not be called")
+
+
+def deny_write(*args, **kwargs):
+    raise PermissionError(13, "Permission denied")
 
 
 def _with_bad_cell(deals_csv, tmp_path):
@@ -281,6 +290,26 @@ class TestRun:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("framework, field, value", [
+        ("f1", "pca_dims", 0), ("f1", "pca_dims", -1), ("f1", "mca_dims", 0),
+        ("f1", "mca_dims", -1), ("f1", "impute_k", 0), ("f1", "impute_k", -1),
+        ("f2", "autoencoder_hidden", 0), ("f2", "autoencoder_hidden", -1),
+        ("f2", "autoencoder_epochs", -1), ("f3", "lstm_width", 0), ("f3", "lstm_width", -1),
+    ])
+    def test_config_field_out_of_range_exit_2_before_any_stage(
+            self, deals_csv, tmp_path, capsys, monkeypatch, framework, field, value):
+        monkeypatch.setattr(pipeline, "fit_imputer", refuse)
+        run_cfg = tmp_path / "run.json"
+        write_json(run_cfg, {**RUN_CONFIG, "framework": framework, field: value})
+        code = main(
+            ["run", "--framework", framework, "--data", str(deals_csv),
+             "--config", str(run_cfg), "--out-dir", str(tmp_path / "bad")]
+        )
+        assert code == 2
+        floor = 0 if field == "autoencoder_epochs" else 1
+        assert f"invalid run config: {field} must be >= {floor}" in capsys.readouterr().err
+        assert not (tmp_path / "bad").exists()
+
     def test_weighted_loss_with_smote_exit_2(self, deals_csv, tmp_path, capsys):
         network = {**RUN_CONFIG["network"], "loss": {"kind": "weighted_cross_entropy"}}
         run_cfg = tmp_path / "run.json"
@@ -500,6 +529,20 @@ class TestSearch:
         assert code == 2
         assert f"space path {path!r} has no entry {entry}" in capsys.readouterr().err
 
+    def test_invalid_trial_config_exit_2_before_any_trial(
+            self, deals_csv, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(pipeline, "fit_pipeline", refuse)
+        space = tmp_path / "space.json"
+        write_json(space, {"base": {**RUN_CONFIG, "framework": "f3"},
+                           "space": {"lstm_width": [4, 0]}, "strategy": "grid"})
+        code = main(
+            ["search", "--data", str(deals_csv), "--space", str(space),
+             "--budget", "2", "--out-dir", str(tmp_path / "s")]
+        )
+        assert code == 2
+        assert "invalid search setup: lstm_width must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "s").exists()
+
     def test_out_dir_is_a_file_exit_1(self, deals_csv, tmp_path, capsys):
         space = tmp_path / "space.json"
         write_json(space, {**SPACE, "space": {"train.learning_rate": [0.02]}})
@@ -511,6 +554,74 @@ class TestSearch:
         )
         assert code == 1
         assert "mergepipe: error: cannot write artifacts:" in capsys.readouterr().err
+
+
+class TestDataCache:
+    """The CLI reads a deals CSV through the binary cache beside it."""
+
+    ARTIFACTS = ("report.json", "roc.csv", "pr.csv", "model.json")
+
+    @staticmethod
+    def run(data, out_dir, run_cfg):
+        return main(["run", "--framework", "f1", "--data", str(data),
+                     "--config", str(run_cfg), "--out-dir", str(out_dir)])
+
+    def test_run_artifacts_identical_on_miss_and_hit(self, deals_csv, tmp_path, monkeypatch):
+        run_cfg = tmp_path / "run.json"
+        write_json(run_cfg, RUN_CONFIG)
+        cache = deals_csv.with_name(deals_csv.name + CACHE_SUFFIX)
+        assert not cache.exists()
+        assert self.run(deals_csv, tmp_path / "miss", run_cfg) == 0
+        assert cache.is_file()
+        monkeypatch.setattr(dataset, "load_deals_csv", refuse)  # a hit parses nothing
+        assert self.run(deals_csv, tmp_path / "hit", run_cfg) == 0
+        for name in self.ARTIFACTS:
+            assert (tmp_path / "miss" / name).read_bytes() == (tmp_path / "hit" / name).read_bytes()
+
+    def test_search_reads_the_cache_run_wrote(self, deals_csv, tmp_path, monkeypatch):
+        run_cfg = tmp_path / "run.json"
+        write_json(run_cfg, RUN_CONFIG)
+        assert self.run(deals_csv, tmp_path / "r", run_cfg) == 0
+        monkeypatch.setattr(dataset, "load_deals_csv", refuse)
+        space = tmp_path / "space.json"
+        write_json(space, {**SPACE, "space": {"train.learning_rate": [0.02]}})
+        assert main(["search", "--data", str(deals_csv), "--space", str(space),
+                     "--budget", "1", "--out-dir", str(tmp_path / "s")]) == 0
+
+    def test_regenerated_data_replaces_the_cache(self, deals_csv, tmp_path):
+        run_cfg = tmp_path / "run.json"
+        write_json(run_cfg, RUN_CONFIG)
+        assert self.run(deals_csv, tmp_path / "old", run_cfg) == 0
+        gen = tmp_path / "gen.json"
+        fresh = tmp_path / "fresh" / "deals.csv"
+        for out in (deals_csv, fresh):
+            assert main(["generate", "--config", str(gen), "--seed", "8", "--out", str(out)]) == 0
+        assert self.run(deals_csv, tmp_path / "reused", run_cfg) == 0
+        assert self.run(fresh, tmp_path / "fresh-run", run_cfg) == 0
+        cache = deals_csv.name + CACHE_SUFFIX
+        assert (deals_csv.parent / cache).read_bytes() == (fresh.parent / cache).read_bytes()
+        for name in self.ARTIFACTS:
+            reused = (tmp_path / "reused" / name).read_bytes()
+            assert reused == (tmp_path / "fresh-run" / name).read_bytes()
+        assert reused != (tmp_path / "old" / "model.json").read_bytes()
+
+    def test_read_only_data_directory_exit_0(self, deals_csv, tmp_path, monkeypatch):
+        data_dir = tmp_path / "read-only"
+        data_dir.mkdir()
+        data = data_dir / "deals.csv"
+        data.write_bytes(deals_csv.read_bytes())
+        data.with_suffix(".schema.json").write_bytes(
+            deals_csv.with_suffix(".schema.json").read_bytes())
+        run_cfg = tmp_path / "run.json"
+        write_json(run_cfg, RUN_CONFIG)
+        # the mode bits do not stop a superuser, so the temporary file is refused too
+        monkeypatch.setattr(dataset.tempfile, "mkstemp", deny_write)
+        data_dir.chmod(0o555)
+        try:
+            assert self.run(data, tmp_path / "out", run_cfg) == 0
+        finally:
+            data_dir.chmod(0o755)
+        assert sorted(p.name for p in data_dir.iterdir()) == ["deals.csv", "deals.schema.json"]
 
 
 class TestReload:

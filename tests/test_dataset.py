@@ -1,6 +1,8 @@
 import csv
+import dataclasses
 import datetime as dt
 import io
+import os
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -10,7 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mergepipe import dataset
 from mergepipe.dataset import (
+    CACHE_SUFFIX,
     DatasetSchema,
     DealFrame,
     DealRecord,
@@ -19,6 +23,7 @@ from mergepipe.dataset import (
     csv_header,
     generate_frame,
     generate_synthetic,
+    load_deals_cached,
     load_deals_csv,
     sentiment_matrix,
     temporal_split,
@@ -535,3 +540,213 @@ class TestDealFrame:
         frame_train, frame_test = temporal_split(frame, spec)
         assert isinstance(train, list) and isinstance(frame_train, DealFrame)
         assert frame_train == train and frame_test == test
+
+
+CACHE_GEN = GeneratorConfig(n_deals=40, n_numeric=3, n_categorical=2, levels_per_categorical=3,
+                            sentiment_length=5, missing_rate=0.2)
+CACHE_SCHEMA = CACHE_GEN.schema()
+# ids a CSV quotes, non-ASCII ids and an empty id; numbers whose bits a
+# decimal round trip must keep
+ODD_IDS = ("", "a,b", 'q"t', "x\r\ny", "é€𝄞")
+ODD_NUMBERS = (-0.0, 5e-324, 1e308, 0.1)
+
+
+def cache_csv(tmp_path):
+    """A generated CSV with odd ids, odd numbers and absent sentiment paths."""
+    deals = generate_synthetic(CACHE_GEN, seed=2)
+    for i, deal_id in enumerate(ODD_IDS):
+        deals[i] = dataclasses.replace(deals[i], deal_id=deal_id, sentiment=None,
+                                       numeric=(ODD_NUMBERS[i % 4], None, ODD_NUMBERS[-1]))
+    path = tmp_path / "deals.csv"
+    write_deals_csv(path, deals, CACHE_SCHEMA)
+    return path
+
+
+def cache_of(path):
+    return path.with_name(path.name + CACHE_SUFFIX)
+
+
+def assert_same_frame(got, want):
+    """Equal bit for bit in every column, dtypes and shapes included."""
+    assert got.schema == want.schema
+    assert got.deal_ids.dtype == want.deal_ids.dtype == object
+    assert got.deal_ids.tolist() == want.deal_ids.tolist()
+    for name in ("dates", "numeric", "codes", "sentiment", "has_sentiment", "labels"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
+
+
+def deny_write(*args, **kwargs):
+    raise PermissionError(13, "Permission denied")
+
+
+class Parses(list):
+    """Paths load_deals_csv parsed, in order; setting ``fail`` makes it raise."""
+
+    fail = False
+
+
+@pytest.fixture()
+def parses(monkeypatch):
+    calls = Parses()
+    real = dataset.load_deals_csv
+
+    def counted(path, schema):
+        if calls.fail:
+            raise AssertionError("parsed on a cache hit")
+        calls.append(path)
+        return real(path, schema)
+
+    monkeypatch.setattr(dataset, "load_deals_csv", counted)
+    return calls
+
+
+class TestCache:
+    def test_hit_equals_a_fresh_parse_bit_for_bit(self, tmp_path, parses):
+        path = cache_csv(tmp_path)
+        fresh = load_deals_csv(path, CACHE_SCHEMA)
+        assert np.isnan(fresh.numeric).any() and not fresh.has_sentiment.all()
+        assert_same_frame(load_deals_cached(path, CACHE_SCHEMA), fresh)
+        assert cache_of(path).is_file() and len(parses) == 1
+        parses.fail = True
+        hit = load_deals_cached(str(path), CACHE_SCHEMA)
+        assert_same_frame(hit, fresh)
+        assert hit.deal_ids[: len(ODD_IDS)].tolist() == list(ODD_IDS)
+        assert np.signbit(hit.numeric[0, 0]) and hit.numeric[1, 0] == 5e-324
+
+    def test_edited_cell_with_size_and_mtime_restored_misses(self, tmp_path, parses):
+        path = cache_csv(tmp_path)
+        before = load_deals_cached(path, CACHE_SCHEMA)
+        stat = path.stat()
+        lines = path.read_bytes().split(b"\n")
+        lines[1] = lines[1][:-1] + (b"1" if lines[1].endswith(b"0") else b"0")
+        path.write_bytes(b"\n".join(lines))
+        os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+        assert (path.stat().st_size, path.stat().st_mtime_ns) == (stat.st_size, stat.st_mtime_ns)
+        after = load_deals_cached(path, CACHE_SCHEMA)
+        assert len(parses) == 2 and after.labels[0] != before.labels[0]
+        assert_same_frame(after, load_deals_csv(path, CACHE_SCHEMA))
+        parses.fail = True
+        assert_same_frame(load_deals_cached(path, CACHE_SCHEMA), after)
+
+    def test_schema_with_reordered_levels_misses(self, tmp_path, parses):
+        path = cache_csv(tmp_path)
+        load_deals_cached(path, CACHE_SCHEMA)
+        levels = (CACHE_SCHEMA.categorical_levels[0][::-1],) + CACHE_SCHEMA.categorical_levels[1:]
+        reordered = dataclasses.replace(CACHE_SCHEMA, categorical_levels=levels)
+        frame = load_deals_cached(path, reordered)
+        assert len(parses) == 2
+        assert_same_frame(frame, load_deals_csv(path, reordered))
+        assert not np.array_equal(frame.codes, load_deals_csv(path, CACHE_SCHEMA).codes)
+
+    def test_format_change_misses(self, tmp_path, parses, monkeypatch):
+        path = cache_csv(tmp_path)
+        load_deals_cached(path, CACHE_SCHEMA)
+        monkeypatch.setattr(dataset, "CACHE_FORMAT", dataset.CACHE_FORMAT + 1)
+        load_deals_cached(path, CACHE_SCHEMA)
+        assert len(parses) == 2
+
+    @staticmethod
+    def huge_rows_cache(path):
+        """A cache under the right key whose sizes block claims 10**12 rows,
+        with block headers that agree and no data behind them."""
+        out = io.BytesIO()
+        out.write(dataset._CACHE_MAGIC + dataset._cache_key(path, CACHE_SCHEMA))
+        np.lib.format.write_array(out, np.array([10**12, 0], dtype=np.int64), version=(1, 0))
+        np.lib.format.write_array(out, np.zeros(0, dtype=np.uint8), version=(1, 0))
+        np.lib.format.write_array_header_1_0(
+            out, {"descr": "<i8", "fortran_order": False, "shape": (10**12,)})
+        return out.getvalue()
+
+    @staticmethod
+    def with_id_ends(good, edit):
+        """``good`` with ``edit`` applied to its block of id ends, the third block."""
+        src, out = io.BytesIO(good), io.BytesIO()
+        out.write(src.read(len(dataset._CACHE_MAGIC) + 32))
+        for index in range(1 + len(dataset._cache_layout(CACHE_SCHEMA, 0, 0))):
+            block = np.lib.format.read_array(src)
+            np.lib.format.write_array(out, edit(block) if index == 2 else block, version=(1, 0))
+        return out.getvalue()
+
+    @pytest.mark.parametrize("damage", [
+        "empty", "magic only", "half", "last byte cut", "one byte more", "garbage",
+        "wrong block dtype", "wrong block shape", "huge row count", "id ends past the text",
+        "id ends out of order",
+    ])
+    def test_damaged_cache_is_reparsed_and_rewritten(self, tmp_path, parses, damage):
+        path = cache_csv(tmp_path)
+        fresh = load_deals_cached(path, CACHE_SCHEMA)
+        good = cache_of(path).read_bytes()
+        head = len(dataset._CACHE_MAGIC) + 32
+        damaged = {
+            "empty": b"",
+            "magic only": good[:head],
+            "half": good[: len(good) // 2],
+            "last byte cut": good[:-1],
+            "one byte more": good + b"\0",
+            "garbage": np.random.default_rng(0).bytes(len(good)),
+            "wrong block dtype": good.replace(b"'descr': '<i8'", b"'descr': '<f8'", 1),
+            # the sizes block declares (2,); (9,) keeps the header's length
+            "wrong block shape": good.replace(b"'shape': (2,), }", b"'shape': (9,), }", 1),
+            "huge row count": self.huge_rows_cache(path),
+            "id ends past the text": self.with_id_ends(good, lambda ends: ends + 1),
+            "id ends out of order": self.with_id_ends(
+                good, lambda ends: ends[[0, 2, 1, *range(3, len(ends))]]),
+        }[damage]
+        assert damaged != good
+        cache_of(path).write_bytes(damaged)
+        assert_same_frame(load_deals_cached(path, CACHE_SCHEMA), fresh)
+        assert len(parses) == 2 and cache_of(path).read_bytes() == good
+
+    def test_cache_bytes_repeat_across_writes(self, tmp_path):
+        path = cache_csv(tmp_path)
+        load_deals_cached(path, CACHE_SCHEMA)
+        first = cache_of(path).read_bytes()
+        cache_of(path).unlink()
+        other = tmp_path / "copy"
+        other.mkdir()
+        (other / "deals.csv").write_bytes(path.read_bytes())
+        for csv_path in (path, other / "deals.csv"):
+            load_deals_cached(csv_path, CACHE_SCHEMA)
+            assert cache_of(csv_path).read_bytes() == first
+
+    def test_unwritable_directory_still_loads(self, tmp_path, parses, monkeypatch):
+        path = cache_csv(tmp_path)
+        monkeypatch.setattr(dataset.tempfile, "mkstemp", deny_write)
+        for _ in range(2):
+            assert_same_frame(load_deals_cached(path, CACHE_SCHEMA),
+                              load_deals_csv(path, CACHE_SCHEMA))
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["deals.csv"]
+
+    def test_cache_path_taken_by_a_directory_still_loads(self, tmp_path, parses):
+        path = cache_csv(tmp_path)
+        cache_of(path).mkdir()
+        assert_same_frame(load_deals_cached(path, CACHE_SCHEMA),
+                          load_deals_csv(path, CACHE_SCHEMA))
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["deals.csv", cache_of(path).name]
+
+    def test_file_changed_while_parsing_is_not_cached(self, tmp_path, monkeypatch):
+        path = cache_csv(tmp_path)
+        real = dataset.load_deals_csv
+
+        def parse_then_append(csv_path, schema):
+            frame = real(csv_path, schema)
+            with open(csv_path, "a") as fh:
+                fh.write("\n")
+            return frame
+
+        monkeypatch.setattr(dataset, "load_deals_csv", parse_then_append)
+        load_deals_cached(path, CACHE_SCHEMA)
+        assert not cache_of(path).exists()
+
+    def test_directory_raises_as_the_parser_does(self, tmp_path):
+        with pytest.raises(IsADirectoryError):
+            load_deals_cached(tmp_path, CACHE_SCHEMA)
+        assert not cache_of(tmp_path).exists()
+
+    def test_malformed_csv_raises_the_parser_error_and_is_not_cached(self, tmp_path):
+        path = tmp_path / "deals.csv"
+        write_csv(path, [HEADER, "a,2015-01-02,abc,0.2,US,0.1,0.2,0.3,0.4,0"])
+        with pytest.raises(MalformedRow, match="column 'tic_ebitda' cannot parse 'abc'"):
+            load_deals_cached(path, tiny_schema())
+        assert not cache_of(path).exists()
