@@ -41,6 +41,7 @@ from .metrics import curve_to_csv
 from .pipeline import (
     FrameworkConfig,
     hyper_search,
+    logit_fields,
     run_config,
 )
 from .presets import PRESET_NAMES, preset
@@ -168,7 +169,9 @@ def cmd_run(args) -> int:
                 return _die(2, f"preset {args.preset!r} is a {config.framework} setup, "
                                f"not {args.framework}")
         elif args.baseline:
-            config = _logit_from_doc(config_doc, weighted=args.baseline == "weighted-logit")
+            # the baseline fixes framework and network; the doc gives the rest
+            weighted = args.baseline == "weighted-logit"
+            config = FrameworkConfig.from_json(config_doc, **logit_fields(weighted))
         else:
             config = FrameworkConfig.from_json(config_doc)
             if config.framework != args.framework:
@@ -211,16 +214,6 @@ def cmd_run(args) -> int:
     auroc = "None" if out_rep.auroc is None else f"{out_rep.auroc:.3f}"
     print(f"out-of-sample: accuracy={out_rep.accuracy:.3f} recall={out_rep.recall} auroc={auroc}")
     return 0
-
-
-def _logit_from_doc(overrides: dict, weighted: bool) -> FrameworkConfig:
-    """The logit config; ``overrides`` cannot change its framework or network."""
-    loss = "weighted_cross_entropy" if weighted else "cross_entropy"
-    network = {"layers": [], "loss": {"kind": loss}, "seed": overrides.get("seed", 0)}
-    doc = {**overrides, "framework": "f1", "network": network}
-    if weighted:
-        doc["use_smote"] = False
-    return FrameworkConfig.from_json(doc)
 
 
 def _trial_rows(results, objective):

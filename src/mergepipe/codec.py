@@ -40,9 +40,7 @@ class Json:
     @classmethod
     def from_json(cls, doc, **given):
         """Decode ``doc``; ``given`` holds already-built field values, skipped ones too."""
-        _expect(doc, dict)
-        if any(doc.get(key) != value for key, value in cls.JSON_HEADER.items()):
-            raise BadConfig(f"header must be {cls.JSON_HEADER}")
+        cls._check_header(doc)
         unknown = doc.keys() - cls.JSON_HEADER.keys() - {name for name, *_ in _plan(cls)}
         if unknown:
             raise BadConfig(f"unknown keys {sorted(unknown)}")
@@ -55,6 +53,14 @@ class Json:
             elif required and name not in given:
                 raise BadConfig(f"missing {name!r}")
         return cls(**given)
+
+    @classmethod
+    def _check_header(cls, doc) -> dict:
+        """``doc`` itself, once it is an object with this class's header."""
+        _expect(doc, dict)
+        if any(doc.get(key) != value for key, value in cls.JSON_HEADER.items()):
+            raise BadConfig(f"header must be {cls.JSON_HEADER}")
+        return doc
 
 
 @functools.cache
@@ -106,8 +112,6 @@ def _decode(tp, value):
                 raise BadConfig(f"expected {len(args)} items, got {len(value)}")
             return tuple(_decode(t, x) for t, x in zip(args, value))
         return origin(_decode(args[0], x) for x in value)
-    if origin is dict:
-        return {_decode(args[0], k): _decode(args[1], x) for k, x in _expect(value, dict).items()}
     if tp is np.ndarray:
         try:
             array = np.asarray(_expect(value, list, tuple))

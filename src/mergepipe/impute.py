@@ -14,11 +14,14 @@ no observed coordinate).  One block of distances takes about
 ``kernels.SEARCH_BYTES``, so peak memory is O(SEARCH_BYTES), not
 O(n_query x n_ref) or O(block x n_ref).
 
-The reference side of the distance depends on the fitted model alone, so
-``ImputerModel`` prepares it once, when it is constructed: the observed
-mask, 1 / numeric_scale and ``kernels.prepare_reference``'s (3D, n_ref)
-block packing the float mask, scaled zero-filled values and their squares,
-about 3 x n_ref x D extra floats.  Every ``impute`` call passes them to
+The model stores k and the reference rows alone.  Everything else is
+derived from them once, when it is constructed, so a reloaded model
+rebuilds it bit for bit: the column scales, and the observed means and
+modes that fill cells no neighbour has; and the reference side of the
+distance, that is the observed mask, 1 / numeric_scale and
+``kernels.prepare_reference``'s (3D, n_ref) block packing the float mask,
+scaled zero-filled values and their squares, about 3 x n_ref x D extra
+floats.  Every ``impute`` call passes the latter to
 ``kernels.masked_sqdist``, which takes one matrix product with the block.
 
 Missing cells of all incomplete rows are filled at once with array
@@ -52,54 +55,51 @@ class ImputerModel(Json):
     k: int
     reference_numeric: np.ndarray  # (n_ref, D) with NaN for missing
     reference_categorical: np.ndarray  # (n_ref, Q) int codes, -1 missing
-    numeric_scale: np.ndarray  # (D,) strictly positive
-    column_mean: np.ndarray  # observed train mean per column (NaN if none)
-    column_mode: np.ndarray  # observed train mode code per variable (-1 if none)
     schema: DatasetSchema = field(metadata=SKIP)  # a pipeline stores it once, beside the model
-    # reference side of every distance call, derived from the fields above
-    # once per model: observed mask, references observed per column,
-    # 1 / numeric_scale and kernels.prepare_reference's packed (3D, n_ref) block
+    # derived from the reference rows once per model
+    numeric_scale: np.ndarray = field(init=False, repr=False, compare=False)  # (D,) > 0
+    column_mean: np.ndarray = field(init=False, repr=False, compare=False)  # NaN if none observed
+    column_mode: np.ndarray = field(init=False, repr=False, compare=False)  # -1 if none observed
+    # reference side of every distance call: observed mask, references
+    # observed per column, 1 / numeric_scale and kernels.prepare_reference's
+    # packed (3D, n_ref) block
     reference_observed: np.ndarray = field(init=False, repr=False, compare=False)
     reference_counts: np.ndarray = field(init=False, repr=False, compare=False)
     inv_scale: np.ndarray = field(init=False, repr=False, compare=False)
     reference_terms: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        observed = np.isfinite(self.reference_numeric)
-        inv_scale = 1.0 / self.numeric_scale
-        terms = kernels.prepare_reference(self.reference_numeric, observed, inv_scale)
+        ref_num, ref_cat = self.reference_numeric, self.reference_categorical
+        observed = np.isfinite(ref_num)
+        counts = observed.sum(axis=0)
+        denom = np.maximum(counts, 1)
+        col_mean = np.nansum(ref_num, axis=0) / denom
+        centered = np.where(observed, ref_num - col_mean, 0.0)
+        scale = np.sqrt(np.sum(centered * centered, axis=0) / denom)
+        scale = np.where(np.isfinite(scale) & (scale > 0.0), scale, 1.0)
+        inv_scale = 1.0 / scale
+        # each variable's most frequent observed code, -1 where none is observed
+        modes = _majority_votes(ref_cat.T, np.full(ref_cat.shape[1], -1, dtype=np.int64))
+        terms = kernels.prepare_reference(ref_num, observed, inv_scale)
+        object.__setattr__(self, "numeric_scale", scale)
+        object.__setattr__(self, "column_mean", np.where(counts > 0, col_mean, np.nan))
+        object.__setattr__(self, "column_mode", modes)
         object.__setattr__(self, "reference_observed", observed)
-        object.__setattr__(self, "reference_counts", observed.sum(axis=0))
+        object.__setattr__(self, "reference_counts", counts)
         object.__setattr__(self, "inv_scale", inv_scale)
         object.__setattr__(self, "reference_terms", terms)
 
 
 def fit_imputer(train, schema: DatasetSchema, k: int = 5) -> ImputerModel:
-    """Store scaled reference rows; no imputation happens at fit time."""
+    """Store the reference rows; no imputation happens at fit time."""
     if k < 1:
         raise TooFewRows(f"k must be >= 1, got {k}")
     frame = DealFrame.of(train, schema)
-    ref_num, ref_cat = frame.numeric, frame.codes
-    usable = np.isfinite(ref_num).any(axis=1).sum()
+    usable = np.isfinite(frame.numeric).any(axis=1).sum()
     if usable < k:
         raise TooFewRows(f"k={k} exceeds the {usable} usable reference rows")
-    observed_counts = np.isfinite(ref_num).sum(axis=0)
-    denom = np.maximum(observed_counts, 1)
-    col_mean_raw = np.nansum(ref_num, axis=0) / denom
-    centered = np.where(np.isfinite(ref_num), ref_num - col_mean_raw, 0.0)
-    scale = np.sqrt(np.sum(centered * centered, axis=0) / denom)
-    scale = np.where(np.isfinite(scale) & (scale > 0.0), scale, 1.0)
-    col_mean = np.where(observed_counts > 0, col_mean_raw, np.nan)
-    # each variable's most frequent observed code, -1 where none is observed
-    modes = _majority_votes(ref_cat.T, np.full(schema.n_categorical, -1, dtype=np.int64))
     return ImputerModel(
-        k=k,
-        reference_numeric=ref_num,
-        reference_categorical=ref_cat,
-        numeric_scale=scale,
-        column_mean=col_mean,
-        column_mode=modes,
-        schema=schema,
+        k=k, reference_numeric=frame.numeric, reference_categorical=frame.codes, schema=schema
     )
 
 

@@ -4,8 +4,8 @@ The positive class is the cancelled deal (label 1) throughout.  Metrics
 whose denominator is zero return None rather than NaN so downstream
 rankings never silently absorb an undefined value.  AUROC uses the
 trapezoidal rule over the threshold sweep (equal to the rank statistic);
-the PR area uses the step-wise rule by default, with trapezoidal available
-for comparison.
+the PR area uses the step-wise rule, since linear interpolation between PR
+points flatters.
 """
 
 from __future__ import annotations
@@ -98,12 +98,9 @@ def roc_curve(labels, scores):
     return points, auroc
 
 
-def pr_curve(labels, scores, interpolation: str = "step"):
-    """PR points over the threshold sweep plus the area.
-
-    interpolation="step" integrates sum (R_k - R_{k-1}) * P_k (the default);
-    "trapezoid" connects the points linearly, which is known to flatter.
-    """
+def pr_curve(labels, scores):
+    """PR points over the threshold sweep plus the step-rule area
+    sum (R_k - R_{k-1}) * P_k."""
     tps, fps = _sweep(labels, scores)
     n_pos = tps[-1]
     if n_pos == 0:
@@ -111,16 +108,8 @@ def pr_curve(labels, scores, interpolation: str = "step"):
     recall = tps / n_pos
     precision = tps / (tps + fps)
     points = [(float(r), float(p)) for r, p in zip(recall, precision)]
-    if interpolation == "step":
-        deltas = np.diff(np.concatenate([[0.0], recall]))
-        aupr = float(np.sum(deltas * precision))
-    elif interpolation == "trapezoid":
-        r_ext = np.concatenate([[0.0], recall])
-        p_ext = np.concatenate([[precision[0]], precision])
-        aupr = _trapezoid(p_ext, r_ext)
-    else:
-        raise ValueError(f"unknown interpolation {interpolation!r}")
-    return points, aupr
+    deltas = np.diff(np.concatenate([[0.0], recall]))
+    return points, float(np.sum(deltas * precision))
 
 
 @dataclass(frozen=True)

@@ -2,10 +2,11 @@
 
 The encoder reads the full sequence and maps its final hidden state to the
 embedding through a linear head.  The decoder receives the embedding as its
-initial state (two linear maps, one per state half), consumes a zero input
-at every step, and a per-step linear readout reconstructs the sequence.
-Training minimizes the mean Euclidean distance between each sequence and
-its reconstruction.
+initial state (two linear maps, one per state half) and reads no input: its
+gates see only the recurrent state, so it has no input weights.  A per-step
+linear readout reconstructs the sequence.  Both LSTMs use the sigmoid
+candidate and cell-output transform.  Training minimizes the mean Euclidean
+distance between each sequence and its reconstruction.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ class AutoencoderSpec(Json):
     sequence_length: int = 121
     embedding_dim: int = 5
     hidden_width: int = 5
-    activation: str = "sigmoid"  # candidate/cell-output transform of both LSTMs
     seed: int = 0
 
     def __post_init__(self):
@@ -32,14 +32,11 @@ class AutoencoderSpec(Json):
             raise BadConfig("embedding_dim and hidden_width must be >= 1")
         if not self.embedding_dim < self.sequence_length:
             raise BadConfig("embedding_dim must be smaller than sequence_length")
-        if self.activation not in ("sigmoid", "tanh"):
-            raise BadConfig("autoencoder activation must be sigmoid or tanh")
 
 
 class SequenceAutoencoder:
     def __init__(self, spec: AutoencoderSpec):
         self.spec = spec
-        self._sigmoid = spec.activation == "sigmoid"
         h = spec.hidden_width
         k = spec.embedding_dim
         self._layout = _Layout((
@@ -47,15 +44,15 @@ class SequenceAutoencoder:
             ("embed", "dense", h, k, "none"),
             ("dec_h0", "dense", k, h, "none"),
             ("dec_c0", "dense", k, h, "none"),
-            ("dec", "lstm", 1, h, None),
+            ("dec", "lstm", 0, h, None),
             ("out", "dense", h, 1, "none"),
         ))
 
     def init_params(self, rng) -> NetworkParams:
-        return self._layout.init(rng, self.spec.seed)
+        return self._layout.init(rng)
 
     def zero_grads(self) -> NetworkParams:
-        return self._layout.zeros(self.spec.seed)
+        return self._layout.zeros()
 
     def _check(self, sequences) -> np.ndarray:
         x = np.asarray(sequences, dtype=np.float64)
@@ -68,7 +65,7 @@ class SequenceAutoencoder:
     def _encode(self, params, x):
         xs = np.ascontiguousarray(x.T[:, :, None])
         h0 = np.zeros((x.shape[0], self.spec.hidden_width))
-        enc = _lstm_forward(params, "enc", xs, h0, h0.copy(), self._sigmoid)
+        enc = _lstm_forward(params, "enc", xs, h0, h0.copy(), sigmoid_candidate=True)
         return xs, enc, enc[0][-1] @ params.view("embed.w") + params.view("embed.b")
 
     def encode(self, params, sequences) -> np.ndarray:
@@ -80,11 +77,11 @@ class SequenceAutoencoder:
         xs, enc, z_embed = self._encode(params, x)
         dec_h0 = z_embed @ params.view("dec_h0.w") + params.view("dec_h0.b")
         dec_c0 = z_embed @ params.view("dec_c0.w") + params.view("dec_c0.b")
-        zeros_in = np.zeros((seq_len, n, 1))
-        dec = _lstm_forward(params, "dec", zeros_in, dec_h0, dec_c0, self._sigmoid)
+        no_input = np.zeros((seq_len, n, 0))
+        dec = _lstm_forward(params, "dec", no_input, dec_h0, dec_c0, sigmoid_candidate=True)
         # readout per step: (T, n, H) @ (H, 1) -> (n, T)
         recon = (dec[0][1:] @ params.view("out.w"))[:, :, 0].T + params.view("out.b")[0]
-        return recon, (x, xs, enc, z_embed, dec, zeros_in)
+        return recon, (x, xs, enc, z_embed, dec, no_input)
 
     def loss_and_grad(self, params, sequences, target=None, weights=None, grads=None):
         """Mean Euclidean distance between the reconstruction and target
@@ -103,9 +100,9 @@ class SequenceAutoencoder:
 
     def backward(self, params, cache, drecon, grads=None) -> NetworkParams:
         """Parameter gradient; written into ``grads`` when given."""
-        x, xs, enc, z_embed, dec, zeros_in = cache
+        x, xs, enc, z_embed, dec, no_input = cache
         n, seq_len = x.shape
-        grads = self._layout.zeros(self.spec.seed, grads)
+        grads = self._layout.zeros(grads)
 
         # per-step readout, vectorized over t
         out_w = params.view("out.w")
@@ -113,7 +110,9 @@ class SequenceAutoencoder:
         grads.view("out.w")[:] += (dec[0][1:] * dy).sum(axis=(0, 1))[:, None]
         grads.view("out.b")[:] += drecon.sum()
         dh_all = dy * out_w[None, None, :, 0]
-        dh0, dc0 = _lstm_backward(params, grads, "dec", zeros_in, dec, dh_all, self._sigmoid)
+        dh0, dc0 = _lstm_backward(
+            params, grads, "dec", no_input, dec, dh_all, sigmoid_candidate=True
+        )
 
         dz_embed = dh0 @ params.view("dec_h0.w").T + dc0 @ params.view("dec_c0.w").T
         grads.view("dec_h0.w")[:] += z_embed.T @ dh0
@@ -125,13 +124,13 @@ class SequenceAutoencoder:
         grads.view("embed.b")[:] += dz_embed.sum(axis=0)
         dh_enc = np.zeros((seq_len, n, self.spec.hidden_width))
         dh_enc[-1] = dz_embed @ params.view("embed.w").T
-        _lstm_backward(params, grads, "enc", xs, enc, dh_enc, self._sigmoid)
+        _lstm_backward(params, grads, "enc", xs, enc, dh_enc, sigmoid_candidate=True)
         return grads
 
 
 @dataclass
 class FittedAutoencoder(Json):
-    JSON_HEADER = {"format_version": 1}
+    JSON_HEADER = {"format_version": 2}
     spec: AutoencoderSpec
     params: NetworkParams
     trace: list = field(default_factory=list, metadata=SKIP)

@@ -120,8 +120,7 @@ class TrainConfig(Json):
 class NetworkParams(Json):
     """Flat trainable parameter store with a named shape table."""
 
-    JSON_HEADER = {"format_version": 1}
-    init_seed: int
+    JSON_HEADER = {"format_version": 2}
     layout: tuple[tuple[str, int, tuple[int, ...]], ...]  # ((name, offset, shape), ...)
     values: np.ndarray
 
@@ -168,15 +167,15 @@ class _Layout:
         self.entries = tuple(entries)
         self.size = size
 
-    def zeros(self, seed, out: NetworkParams | None = None) -> NetworkParams:
+    def zeros(self, out: NetworkParams | None = None) -> NetworkParams:
         """A zero store of this layout; ``out``, when given, is zeroed in place."""
         if out is None:
-            return NetworkParams(init_seed=seed, layout=self.entries, values=np.zeros(self.size))
+            return NetworkParams(layout=self.entries, values=np.zeros(self.size))
         out.values.fill(0.0)
         return out
 
-    def init(self, rng, seed) -> NetworkParams:
-        params = self.zeros(seed)
+    def init(self, rng) -> NetworkParams:
+        params = self.zeros()
         for name, kind, fan_in, width, act in self.units:
             if kind == "lstm":
                 _init_lstm(params, rng, name, fan_in, width)
@@ -317,10 +316,10 @@ class DenseNet:
         self._layout = _Layout(units)
 
     def init_params(self, rng) -> NetworkParams:
-        return self._layout.init(rng, self.spec.seed)
+        return self._layout.init(rng)
 
     def zero_grads(self) -> NetworkParams:
-        return self._layout.zeros(self.spec.seed)
+        return self._layout.zeros()
 
     def forward(self, params, *inputs):
         """Probabilities and the backward cache; inputs are the tabular rows
@@ -359,7 +358,7 @@ class DenseNet:
         """Parameter gradient; written into ``grads`` when given."""
         dense_cache, (lstm_cache, head_cache) = cache
         n_tab = len(self._tab_stack)
-        grads = self._layout.zeros(self.spec.seed, grads)
+        grads = self._layout.zeros(grads)
         da = _head_backward(params, grads, head_cache, dq, q)
         dmerged = _dense_stack_backward(params, grads, self._head_stack, dense_cache[n_tab:], da)
         if self.input_dim is not None:

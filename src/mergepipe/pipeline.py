@@ -16,9 +16,7 @@ import dataclasses
 import itertools
 import json
 import math
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -94,13 +92,15 @@ class FrameworkConfig(Json):
                             "is configured through lstm_width")
         if self.use_smote and self.network.loss.kind == "weighted_cross_entropy":
             raise BadConfig("weighted_cross_entropy replaces SMOTE; set use_smote to false")
+        # the network trains on the config's one seed, and records it
+        object.__setattr__(self, "network", dataclasses.replace(self.network, seed=self.seed))
 
 
 @dataclass
 class FittedPipeline(Json):
     """Everything fitted on training rows; prediction never refits."""
 
-    JSON_HEADER = {"format_version": 1}
+    JSON_HEADER = {"format_version": 2}
     config: FrameworkConfig
     schema: DatasetSchema
     imputer: ImputerModel
@@ -109,29 +109,36 @@ class FittedPipeline(Json):
     kept_onehot_cols: np.ndarray
     autoencoder: FittedAutoencoder | None
     params: NetworkParams
-    feature_width: int
     trace: list = field(default_factory=list, metadata=SKIP)
     valid_report: EvalReport | None = field(default=None, metadata=SKIP)
     _network: object = field(default=None, init=False, repr=False, compare=False)
+
+    @property
+    def feature_width(self) -> int:
+        """Width of the tabular model input: PCA components plus MCA axes,
+        plus the sequence embedding for f2."""
+        width = self.pca.components.shape[0] + self.mca.column_axes.shape[1]
+        if self.autoencoder is not None:
+            width += self.autoencoder.spec.embedding_dim
+        return width
 
     def _model(self):
         """The network object, built once from config and feature width."""
         if self._network is not None:
             return self._network
         cfg = self.config
-        spec = dataclasses.replace(cfg.network, seed=cfg.seed)
         if cfg.framework == "f3":
             self._network = JointNet(
-                tab_layers=spec.layers[:1],
+                tab_layers=cfg.network.layers[:1],
                 lstm_width=cfg.lstm_width,
-                head_layers=spec.layers[1:],
-                loss=spec.loss,
+                head_layers=cfg.network.layers[1:],
+                loss=cfg.network.loss,
                 tab_dim=self.feature_width,
                 seq_len=self.schema.sentiment_length,
                 seed=cfg.seed,
             )
         else:
-            self._network = DenseNet(spec, input_dim=self.feature_width)
+            self._network = DenseNet(cfg.network, input_dim=self.feature_width)
         return self._network
 
     def tabular_features(self, imputed: DealFrame) -> np.ndarray:
@@ -173,7 +180,7 @@ class FittedPipeline(Json):
     @classmethod
     def from_json(cls, doc) -> "FittedPipeline":
         """Read what ``to_json`` wrote; the imputer shares the pipeline's one schema."""
-        schema = DatasetSchema.from_json(doc.get("schema") if isinstance(doc, dict) else doc)
+        schema = DatasetSchema.from_json(cls._check_header(doc).get("schema"))
         imputer = ImputerModel.from_json(doc.get("imputer"), schema=schema)
         return super().from_json(doc, schema=schema, imputer=imputer)
 
@@ -241,11 +248,10 @@ def _fit(train_deals, schema, config):
         kept_onehot_cols=kept,
         autoencoder=autoencoder,
         params=None,
-        feature_width=0,
     )
 
     train_inputs = partial._inputs(train_imputed, sequences)
-    width = partial.feature_width = train_inputs[0].shape[1]
+    width = partial.feature_width
     y = train_imputed.labels.astype(np.float64)
     fit_idx, valid_idx = _validation_split(train_imputed.dates, config.validation_fraction)
     fit_y = y[fit_idx]
@@ -302,10 +308,18 @@ def run_config(train_deals, test_deals, schema: DatasetSchema, config: Framework
 # -- logit baselines -----------------------------------------------------------
 
 
+def logit_fields(weighted: bool = False) -> dict:
+    """The config fields that make the logit baseline: a single sigmoid unit
+    on the reduced f1 features under cross-entropy or, weighted, under
+    weighted_cross_entropy with SMOTE off."""
+    loss = LossKind.weighted_cross_entropy() if weighted else LossKind.cross_entropy()
+    fields = {"framework": "f1", "network": NetworkSpec(layers=(), loss=loss)}
+    return {**fields, "use_smote": False} if weighted else fields
+
+
 def logit_config(seed: int = 0, use_smote: bool = False, **overrides) -> FrameworkConfig:
-    """Single sigmoid unit on the reduced f1 features."""
-    spec = NetworkSpec(layers=(), loss=LossKind.cross_entropy(), seed=seed)
-    return FrameworkConfig(framework="f1", network=spec, seed=seed, use_smote=use_smote, **overrides)
+    """The cross-entropy logit baseline's config."""
+    return FrameworkConfig(seed=seed, use_smote=use_smote, **overrides, **logit_fields())
 
 
 def fit_logit(
@@ -318,15 +332,15 @@ def fit_logit(
     """Cross-entropy logistic baseline; returns (fitted, in-sample report,
     test report).
 
-    With use_class_weights, the loss becomes weighted_cross_entropy and
-    SMOTE is switched off, whatever the config's use_smote.
+    With use_class_weights, the config becomes the weighted logit of
+    ``logit_fields``: the loss is weighted_cross_entropy and SMOTE is
+    switched off, whatever the config's use_smote.
     """
     config = config or logit_config()
     if config.network.layers:
         raise BadConfig("logit baseline uses an empty layer stack")
     if use_class_weights:
-        network = dataclasses.replace(config.network, loss=LossKind.weighted_cross_entropy())
-        config = dataclasses.replace(config, network=network, use_smote=False)
+        config = dataclasses.replace(config, **logit_fields(weighted=True))
     return run_config(train_deals, test_deals, schema, config)
 
 
@@ -388,6 +402,9 @@ def _sample_overrides(space: dict, budget: int, seed: int, strategy: str):
         raise BadConfig(f"unknown search strategy {strategy!r}")
     if not isinstance(space, dict) or not all(isinstance(v, (list, tuple)) for v in space.values()):
         raise BadConfig("the search space must map config paths to lists of candidates")
+    if {"seed", "network.seed"} & space.keys():
+        raise BadConfig("a search draws each trial's seed itself; "
+                        "the space may not set seed or network.seed")
     keys = sorted(space)
     if not keys or any(len(space[k]) == 0 for k in keys):
         raise EmptySpace("every space entry needs at least one candidate")
@@ -424,8 +441,7 @@ def hyper_search(
     space maps dotted config-JSON paths to candidate lists.  Trials are
     ranked by the objective on the internal validation slice only; the
     winner's test report is computed once at the end.  Deterministic given
-    seed; MERGEPIPE_THREADS>1 runs trials in a thread pool without changing
-    results.
+    seed, which draws each trial's seed.  Trials run one after another.
     """
     if budget < 1:
         raise BadConfig("budget must be >= 1")
@@ -443,34 +459,26 @@ def hyper_search(
         doc["objective"] = objective
         configs.append(FrameworkConfig.from_json(doc))
 
-    def run_trial(index_and_config):
-        index, config = index_and_config
+    def rank(trial):
+        return -trial.objective_value, trial.trial
+
+    # every TrialResult is kept, but only the best (trial, fitted pipeline) so far
+    results = []
+    best = None
+    for index, config in enumerate(configs):
         started = time.perf_counter()
         fitted = fit_pipeline(train_deals, schema, config)
-        elapsed = time.perf_counter() - started
-        return TrialResult(
+        trial = TrialResult(
             trial=index,
             config=config,
             valid_report=fitted.valid_report,
             test_report=None,
-            wall_time=elapsed,
+            wall_time=time.perf_counter() - started,
             objective_value=_objective_value(fitted.valid_report, objective),
-        ), fitted
-
-    def rank(trial):
-        return -trial.objective_value, trial.trial
-
-    # outcomes are consumed as they arrive: every TrialResult is kept, but
-    # only the best (trial, fitted pipeline) so far
-    results = []
-    best = None
-    workers = int(os.environ.get("MERGEPIPE_THREADS", "1") or "1")
-    with ThreadPoolExecutor(max_workers=max(workers, 1)) as pool:
-        run = pool.map if workers > 1 else map
-        for trial, fitted in run(run_trial, enumerate(configs)):
-            results.append(trial)
-            if best is None or rank(trial) < rank(best[0]):
-                best = trial, fitted
+        )
+        results.append(trial)
+        if best is None or rank(trial) < rank(best[0]):
+            best = trial, fitted
     results.sort(key=rank)
     if test_deals is not None:
         winner, fitted = best

@@ -11,11 +11,11 @@ from .neural import LayerSpec, LossKind, NetworkSpec
 from .pipeline import FrameworkConfig
 
 
-def _net(widths, activations, loss, seed=0):
+def _net(widths, activations, loss):
     if isinstance(activations, str):
         activations = [activations] * len(widths)
     layers = tuple(LayerSpec("dense", w, a) for w, a in zip(widths, activations))
-    return NetworkSpec(layers=layers, loss=loss, seed=seed)
+    return NetworkSpec(layers=layers, loss=loss)
 
 
 _TABLE = {
@@ -50,7 +50,7 @@ def preset(name: str, seed: int = 0, **overrides) -> FrameworkConfig:
         raise KeyError(f"unknown preset {name!r}; choose from {PRESET_NAMES}") from None
     return FrameworkConfig(
         framework=framework,
-        network=_net(widths, acts, loss, seed=seed),
+        network=_net(widths, acts, loss),
         use_smote=use_smote,
         objective=objective,
         seed=seed,

@@ -104,13 +104,11 @@ def pca_transform(model: PcaModel, X: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class McaModel(Json):
-    JSON_HEADER = {"format_version": 1, "kind": "mca"}
+    JSON_HEADER = {"format_version": 2, "kind": "mca"}
     column_masses: np.ndarray  # (J,), sums to 1
-    n_vars: int  # Q: ones per row in the indicator matrix
     column_axes: np.ndarray  # (J, n_keep): D_c^{-1/2} V
     principal_inertias: np.ndarray  # (n_keep,), nonincreasing
     total_inertia: float
-    level_offsets: dict[str, tuple[int, int]] | None = None
 
 
 def _indicator_checks(X: np.ndarray) -> int:
@@ -121,7 +119,7 @@ def _indicator_checks(X: np.ndarray) -> int:
     return int(round(q))
 
 
-def mca_fit(X: np.ndarray, n_keep: int, level_offsets: dict | None = None) -> McaModel:
+def mca_fit(X: np.ndarray, n_keep: int) -> McaModel:
     X = np.asarray(X, dtype=np.float64)
     n_rows, j_cols = X.shape
     q = _indicator_checks(X)
@@ -143,11 +141,9 @@ def mca_fit(X: np.ndarray, n_keep: int, level_offsets: dict | None = None) -> Mc
     axes = _fix_signs(axes.T).T  # deterministic sign per axis
     return McaModel(
         column_masses=c,
-        n_vars=q,
         column_axes=axes[:, :n_keep],
         principal_inertias=inertias[:n_keep],
         total_inertia=float(inertias[: max_rank].sum()),
-        level_offsets=level_offsets,
     )
 
 

@@ -1,8 +1,11 @@
+import json
+import math
+
 import numpy as np
 import pytest
 
 from mergepipe.errors import BadConfig, ShapeMismatch
-from mergepipe.neural import TrainConfig, autoencoder_encode, autoencoder_fit
+from mergepipe.neural import FittedAutoencoder, TrainConfig, autoencoder_encode, autoencoder_fit
 from mergepipe.neural.autoencoder import AutoencoderSpec, SequenceAutoencoder
 
 
@@ -16,6 +19,24 @@ def test_spec_validation():
         AutoencoderSpec(sequence_length=5, embedding_dim=5)
     with pytest.raises(BadConfig):
         AutoencoderSpec(embedding_dim=0)
+
+
+def test_spec_has_no_activation_choice():
+    doc = {**AutoencoderSpec().to_json(), "activation": "tanh"}
+    with pytest.raises(BadConfig, match="unknown keys"):
+        AutoencoderSpec.from_json(doc)
+
+
+def test_decoder_holds_no_input_weights():
+    spec = AutoencoderSpec(sequence_length=6, embedding_dim=2, hidden_width=3)
+    layout = {name: shape for name, _, shape in SequenceAutoencoder(spec).zero_grads().layout}
+    assert layout["dec.wx"] == (0, 12)
+    assert layout["enc.wx"] == (1, 12)
+    h, k = 3, 2
+    enc = 4 * h + 4 * h * h + 4 * h  # wx, wh, b
+    dec = 4 * h * h + 4 * h  # wh, b
+    heads = (h * k + k) + 2 * (k * h + h) + (h + 1)  # embed, dec_h0, dec_c0, out
+    assert sum(math.prod(shape) for shape in layout.values()) == enc + dec + heads
 
 
 def test_untrained_loss_on_zero_sequences_is_bias_path_norm():
@@ -101,3 +122,15 @@ def test_encode_wrong_length_rejected():
     params = model.init_params(np.random.default_rng(0))
     with pytest.raises(ShapeMismatch):
         model.encode(params, np.zeros((2, 9)))
+
+
+def test_reloaded_autoencoder_encodes_bit_identically():
+    rng = np.random.default_rng(11)
+    x = rng.uniform(-1, 1, (12, 16))
+    spec = AutoencoderSpec(sequence_length=16, embedding_dim=3, hidden_width=4, seed=3)
+    fitted = autoencoder_fit(spec, x, TrainConfig(epochs=3, batch_size=4))
+    doc = json.loads(json.dumps(fitted.to_json()))
+    assert doc["format_version"] == 2 and "activation" not in doc["spec"]
+    loaded = FittedAutoencoder.from_json(doc)
+    assert loaded.params.values.tobytes() == fitted.params.values.tobytes()
+    assert autoencoder_encode(loaded, x).tobytes() == autoencoder_encode(fitted, x).tobytes()

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 
 import numpy as np
@@ -7,7 +8,15 @@ import pytest
 from mergepipe import cli, dataset, pipeline
 from mergepipe.cli import main
 from mergepipe.dataset import CACHE_SUFFIX
-from mergepipe.pipeline import FittedPipeline, fit_pipeline, run_config
+from mergepipe.neural import TrainConfig
+from mergepipe.pipeline import (
+    FittedPipeline,
+    FrameworkConfig,
+    fit_pipeline,
+    logit_config,
+    logit_fields,
+    run_config,
+)
 
 GEN_CONFIG = {
     "n_deals": 260,
@@ -543,6 +552,20 @@ class TestSearch:
         assert "invalid search setup: lstm_width must be >= 1" in capsys.readouterr().err
         assert not (tmp_path / "s").exists()
 
+    @pytest.mark.parametrize("path", ["seed", "network.seed"])
+    def test_seed_space_path_exit_2_before_any_trial(
+            self, deals_csv, tmp_path, capsys, monkeypatch, path):
+        monkeypatch.setattr(pipeline, "fit_pipeline", refuse)
+        space = tmp_path / "space.json"
+        write_json(space, {"base": RUN_CONFIG, "space": {path: [0, 1]}, "strategy": "grid"})
+        code = main(
+            ["search", "--data", str(deals_csv), "--space", str(space),
+             "--budget", "2", "--out-dir", str(tmp_path / "s")]
+        )
+        assert code == 2
+        assert "draws each trial's seed itself" in capsys.readouterr().err
+        assert not (tmp_path / "s").exists()
+
     def test_out_dir_is_a_file_exit_1(self, deals_csv, tmp_path, capsys):
         space = tmp_path / "space.json"
         write_json(space, {**SPACE, "space": {"train.learning_rate": [0.02]}})
@@ -676,6 +699,37 @@ class TestReload:
         saved = FittedPipeline.from_json(json.loads((out_dir / "model.json").read_text()))
         refit = fit_pipeline(train, schema, saved.config)
         assert refit.params.values.tobytes() == fitted.params.values.tobytes()
+
+    def test_model_json_records_the_seed_the_network_trained_on(self, tmp_path, data, fits):
+        run_cfg = tmp_path / "run.json"
+        write_json(run_cfg, RUN_CONFIG)  # network seed 0, seed 1
+        out_dir = tmp_path / "run"
+        assert main(["run", "--framework", "f1", "--data", str(data), "--config", str(run_cfg),
+                     "--out-dir", str(out_dir)]) == 0
+        saved = json.loads((out_dir / "model.json").read_text())["config"]
+        assert saved["seed"] == saved["network"]["seed"] == 1
+        [(fitted, train, _, schema)] = fits
+        doc = {k: v for k, v in RUN_CONFIG.items() if k != "split"}
+        refit = fit_pipeline(train, schema, FrameworkConfig.from_json(
+            {**doc, "network": {**doc["network"], "seed": 1}}))
+        assert refit.params.values.tobytes() == fitted.params.values.tobytes()
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_baseline_config_is_the_library_logit(self, tmp_path, data, fits, weighted):
+        run_cfg = tmp_path / "run.json"
+        write_json(run_cfg, {**RUN_CONFIG, "seed": 2})  # its network is replaced
+        out_dir = tmp_path / "run"
+        baseline = "weighted-logit" if weighted else "logit"
+        assert main(["run", "--baseline", baseline, "--data", str(data),
+                     "--config", str(run_cfg), "--out-dir", str(out_dir)]) == 0
+        [(fitted, _, _, _)] = fits
+        library = logit_config(
+            seed=2, use_smote=True, pca_dims=4, mca_dims=3,
+            train=TrainConfig.from_json(RUN_CONFIG["train"]),
+        )
+        if weighted:
+            library = dataclasses.replace(library, **logit_fields(weighted=True))
+        assert fitted.config == library
 
     def test_baselines_have_distinct_config_digests(self, tmp_path, data):
         digests = set()

@@ -1,6 +1,7 @@
 import dataclasses
 import datetime as dt
 import importlib
+import json
 import tracemalloc
 
 import numpy as np
@@ -17,7 +18,13 @@ from mergepipe.dataset import (
     generate_synthetic,
 )
 from mergepipe.errors import NoComparableRow, TooFewRows
-from mergepipe.impute import _neighbour_indices, _neighbour_means, fit_imputer, impute
+from mergepipe.impute import (
+    ImputerModel,
+    _neighbour_indices,
+    _neighbour_means,
+    fit_imputer,
+    impute,
+)
 from mergepipe.kernels import SEARCH_BYTES, search_rows, top_k
 
 
@@ -92,6 +99,31 @@ def test_all_missing_column_gets_unit_scale():
     # nothing observed anywhere in that column: falls back to 0.0
     [out] = impute(model, [make("q", (3.0, None))])
     assert out.numeric == (3.0, 0.0)
+
+
+def test_reloaded_model_derives_scale_mean_and_mode_bit_for_bit():
+    schema = DatasetSchema(
+        numeric_names=("x", "never", "y"),
+        categorical_names=("region", "unseen"),
+        categorical_levels=(("US", "EU", "UK"), ("a", "b")),
+        sentiment_length=0,
+    )
+    rng = np.random.default_rng(21)
+    refs = [
+        make(f"r{i}", (float(rng.normal()), None, None if i % 3 else float(rng.normal())),
+             (("US", "EU", None, "UK")[i % 4], None))
+        for i in range(9)
+    ]
+    model = fit_imputer(refs, schema, k=3)
+    doc = json.loads(json.dumps(model.to_json()))
+    assert sorted(doc) == ["k", "reference_categorical", "reference_numeric"]
+    loaded = ImputerModel.from_json(doc, schema=schema)
+    for name in ("numeric_scale", "column_mean", "column_mode", "inv_scale", "reference_terms"):
+        assert getattr(loaded, name).tobytes() == getattr(model, name).tobytes(), name
+    assert model.numeric_scale[1] == 1.0 and np.isnan(model.column_mean[1])
+    assert model.column_mode[1] == -1
+    query = [make("q", (0.5, None, None), (None, None))]
+    assert list(impute(loaded, query)) == list(impute(model, query))
 
 
 def test_no_comparable_row():

@@ -159,14 +159,12 @@ class TestPr:
         assert points == [(1.0, 0.4)]
         assert aupr == pytest.approx(0.4)
 
-    def test_step_and_trapezoid_hand_case(self):
+    def test_step_hand_case(self):
         labels = [1, 0, 1]
         scores = [0.9, 0.8, 0.7]
         # sweep: (R, P) = (0.5, 1.0), (0.5, 0.5), (1.0, 2/3)
-        _, step = pr_curve(labels, scores, interpolation="step")
-        _, trap = pr_curve(labels, scores, interpolation="trapezoid")
+        _, step = pr_curve(labels, scores)
         assert step == pytest.approx(0.5 * 1.0 + 0.5 * (2.0 / 3.0), abs=1e-12)
-        assert trap == pytest.approx(0.5 + 0.25 * (0.5 + 2.0 / 3.0), abs=1e-12)
 
     def test_no_positives(self):
         with pytest.raises(NoPositives):

@@ -382,8 +382,7 @@ def test_params_json_round_trip():
 
 
 def test_params_shorter_than_layout_raise_bad_config():
-    doc = {"format_version": 1, "init_seed": 0, "layout": [["d0.w", 0, [3, 2]]],
-           "values": [0.0, 0.0]}
+    doc = {"format_version": 2, "layout": [["d0.w", 0, [3, 2]]], "values": [0.0, 0.0]}
     with pytest.raises(BadConfig, match="params hold 2 values; the layout needs 6"):
         NetworkParams.from_json(doc)
 

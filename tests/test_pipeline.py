@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import weakref
 
 import numpy as np
@@ -17,6 +18,7 @@ from mergepipe.errors import BadConfig, MissingSentiment
 from mergepipe.impute import impute
 from mergepipe.neural import LayerSpec, LossKind, NetworkSpec, TrainConfig
 from mergepipe.pipeline import (
+    FittedPipeline,
     FrameworkConfig,
     class_weights,
     fit_logit,
@@ -282,7 +284,7 @@ class TestInSampleReuse:
 
     TO_JSON_KEYS = {
         "format_version", "config", "schema", "imputer", "pca", "mca",
-        "kept_onehot_cols", "autoencoder", "params", "feature_width",
+        "kept_onehot_cols", "autoencoder", "params",
     }
 
     @staticmethod
@@ -395,6 +397,52 @@ class TestInSampleReuse:
         assert set(fitted.to_json()) == self.TO_JSON_KEYS
 
 
+class TestSavedFields:
+    """model.json stores no value that another stored value determines."""
+
+    @staticmethod
+    def config(framework, **fields):
+        return FrameworkConfig(
+            framework=framework, pca_dims=4, mca_dims=3, embedding_dim=2, autoencoder_epochs=2,
+            lstm_width=3, train=fast_train(epochs=3),
+            **{"network": small_net((6, 4)), "seed": 8, **fields},
+        )
+
+    @pytest.mark.parametrize("framework", ["f1", "f2", "f3"])
+    def test_feature_width_is_the_built_input_width(self, framework):
+        train, test, schema = universe(seed=19, n=240, sentiment_length=12)
+        fitted = pipeline.fit_pipeline(train, schema, self.config(framework))
+        loaded = FittedPipeline.from_json(json.loads(json.dumps(fitted.to_json())))
+        for model in (fitted, loaded):
+            assert model.feature_width == model.features(test)[0].shape[1]
+            assert model.feature_width == model._model().input_dim
+        assert fitted.feature_width == 4 + 3 + (2 if framework == "f2" else 0)
+
+    def test_format_1_model_json_raises_bad_config(self):
+        train, _, schema = universe(seed=19, n=240)
+        doc = pipeline.fit_pipeline(train, schema, self.config("f1")).to_json()
+        assert doc["format_version"] == 2 and "feature_width" not in doc
+        for version in (1, 3):
+            with pytest.raises(BadConfig, match="header must be"):
+                FittedPipeline.from_json({**doc, "format_version": version})
+
+    def test_network_seed_follows_the_config_seed(self):
+        config = self.config("f1", network=small_net((6, 4), seed=0), seed=5)
+        assert config.network.seed == 5
+        assert config.to_json()["network"]["seed"] == 5
+        assert dataclasses.replace(config, seed=7).network.seed == 7
+        assert FrameworkConfig.from_json({**config.to_json(), "seed": 9}).network.seed == 9
+
+    def test_network_seed_of_0_with_seed_5_fits_as_seed_5(self):
+        train, _, schema = universe(seed=20, n=240)
+        fits = [
+            pipeline.fit_pipeline(train, schema, self.config("f1", network=small_net(seed=s), seed=5))
+            for s in (0, 5, 123)
+        ]
+        assert len({f.params.values.tobytes() for f in fits}) == 1
+        assert len({json.dumps(f.config.to_json()) for f in fits}) == 1
+
+
 class TestLeakage:
     def test_corrupting_test_labels_changes_nothing_fitted(self):
         train, test, schema = universe(seed=13, n=300, sentiment_length=12)
@@ -463,17 +511,28 @@ class TestSearch:
         values = [t.objective_value for t in a]
         assert values == sorted(values, reverse=True)
 
-    def test_thread_pool_does_not_change_results(self, monkeypatch):
-        train, _, schema = universe(seed=17, n=250)
-        kwargs = dict(
-            space=self.space(), budget=4, objective="recall", seed=6,
-            base_config=self.base(), strategy="grid",
+    @pytest.mark.parametrize("path", ["seed", "network.seed"])
+    def test_seed_space_path_rejected_before_any_trial_trains(self, monkeypatch, path):
+        train, _, schema = universe(seed=14, n=250)
+        fits = []
+        monkeypatch.setattr(pipeline, "fit_pipeline", lambda *args: fits.append(args))
+        with pytest.raises(BadConfig, match="draws each trial's seed"):
+            hyper_search(
+                train, schema, {path: [1, 2]}, budget=2, objective="recall", seed=3,
+                base_config=self.base(), strategy="grid",
+            )
+        assert fits == []
+
+    def test_trial_network_trains_on_the_trial_seed(self):
+        train, _, schema = universe(seed=15, n=250)
+        results = hyper_search(
+            train, schema, {"train.learning_rate": [0.02, 0.005]}, budget=2,
+            objective="recall", seed=9, base_config=self.base(), strategy="grid",
         )
-        serial = hyper_search(train, schema, **kwargs)
-        monkeypatch.setenv("MERGEPIPE_THREADS", "3")
-        pooled = hyper_search(train, schema, **kwargs)
-        assert [t.trial for t in serial] == [t.trial for t in pooled]
-        assert [t.objective_value for t in serial] == [t.objective_value for t in pooled]
+        for trial in results:
+            assert trial.config.network.seed == trial.config.seed == pipeline._trial_seed(
+                9, trial.trial
+            )
 
     def test_unknown_strategy_rejected_when_budget_covers_grid(self):
         train, _, schema = universe(seed=14, n=250)

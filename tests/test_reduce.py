@@ -223,12 +223,11 @@ class TestMca:
 
     def test_json_round_trip(self):
         X = indicator([[1, 0, 1, 0], [0, 1, 0, 1], [1, 0, 0, 1], [0, 1, 1, 0]])
-        model = mca_fit(X, n_keep=2, level_offsets={"a": (0, 2), "b": (2, 4)})
+        model = mca_fit(X, n_keep=2)
         from mergepipe.reduce import McaModel
 
         again = McaModel.from_json(model.to_json())
         assert np.allclose(again.column_axes, model.column_axes)
-        assert again.level_offsets == {"a": (0, 2), "b": (2, 4)}
         assert np.allclose(
             mca_transform(again, X), mca_transform(model, X), atol=1e-12
         )
