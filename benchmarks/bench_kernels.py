@@ -9,10 +9,10 @@ prepared on every call and once, as ``ImputerModel`` holds it.  Top-k:
 ``kernels.top_k`` with k=5 on distance rows of the same serving and search
 block shapes.  SMOTE: the
 neighbour table of the 720 minority rows x 40 features an f1 paper-shape fit
-oversamples.  LSTM: the two cells the seq-small workload runs at T=121,
-batch 64 -- the f3 classifier's tanh cell with hidden 8 and the f2
-autoencoder's sigmoid cell with hidden 5 -- each timed forward alone,
-backward alone on one forward's states, and as a forward+backward round trip.
+oversamples.  LSTM: the one cell at the two widths the seq-small workload
+runs at T=121, batch 64 -- the f3 classifier's hidden 8 and the f2
+autoencoder's hidden 5 -- each timed forward alone, backward alone on one
+forward's states, and as a forward+backward round trip.
 
 BLAS runs on one thread, as in perfbench, fixed before numpy loads.  Every
 row is the best of ``--repeat`` calls.  The rows, the shapes and the
@@ -43,8 +43,8 @@ import numpy as np  # noqa: E402
 from mergepipe import kernels  # noqa: E402
 from mergepipe.resample import _neighbour_table  # noqa: E402
 
-# (label, hidden, sigmoid_candidate) of the two LSTM cells seq-small runs
-LSTM_CELLS = (("f3 classifier, tanh", 8, False), ("f2 autoencoder, sigmoid", 5, True))
+# (label, hidden) of the two LSTM widths seq-small runs
+LSTM_CELLS = (("f3 classifier", 8), ("f2 autoencoder", 5))
 
 
 def timeit(fn, repeat):
@@ -118,7 +118,7 @@ def bench_smote_table(repeat):
     return [("k=5 neighbour table", timeit(lambda: _neighbour_table(minority, 5), repeat))]
 
 
-def bench_lstm(seq_len, batch, hidden, sigmoid_candidate, repeat):
+def bench_lstm(seq_len, batch, hidden, repeat):
     rng = np.random.default_rng(1)
     x = rng.normal(size=(seq_len, batch, 1))
     wx = rng.normal(0, 0.3, (1, 4 * hidden))
@@ -128,16 +128,16 @@ def bench_lstm(seq_len, batch, hidden, sigmoid_candidate, repeat):
     dh_all = rng.normal(size=(seq_len, batch, hidden))
 
     def forward():
-        return kernels.lstm_forward(x, wx, wh, b, h0, h0.copy(), sigmoid_candidate)
+        return kernels.lstm_forward(x, wx, wh, b, h0, h0.copy())
 
     states = forward()
 
     def backward():
-        kernels.lstm_backward(x, wx, wh, *states, dh_all, sigmoid_candidate)
+        kernels.lstm_backward(x, wx, wh, *states, dh_all)
 
     def round_trip():
         hs, cs, cache = forward()
-        kernels.lstm_backward(x, wx, wh, hs, cs, cache, dh_all, sigmoid_candidate)
+        kernels.lstm_backward(x, wx, wh, hs, cs, cache, dh_all)
 
     round_trip()  # warm up
     return [
@@ -212,10 +212,10 @@ def main():
     rows += show("top-k selection", bench_top_k(args.refs, args.repeat))
     rows += show(f"smote neighbour table ({SMOTE_SHAPE[0]} rows, {SMOTE_SHAPE[1]} cols)",
                  bench_smote_table(args.repeat))
-    for label, hidden, sigmoid_candidate in LSTM_CELLS:
+    for label, hidden in LSTM_CELLS:
         rows += show(
             f"lstm {label} (T={args.seq}, batch={args.batch}, hidden={hidden})",
-            bench_lstm(args.seq, args.batch, hidden, sigmoid_candidate, args.repeat),
+            bench_lstm(args.seq, args.batch, hidden, args.repeat),
             steps=args.seq,
         )
     shape = {"refs": args.refs, "cols": args.cols, "seq": args.seq, "batch": args.batch,

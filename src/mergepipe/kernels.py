@@ -125,8 +125,7 @@ def top_k(d2: np.ndarray, k: int) -> np.ndarray:
 # -- LSTM sequence forward / backward ----------------------------------------
 #
 # Gate layout along the 4H axis: [input | forget | candidate | output].
-# ``sigmoid_candidate`` switches the candidate/cell-output transform from
-# tanh to sigmoid (the autoencoder variant); gates always use sigmoid.
+# The gates use sigmoid; the candidate and the cell output use tanh.
 #
 # Only the recurrence stays in the time loop.  Forward projects all T*B input
 # rows before the loop with one einsum straight into the cache; each step
@@ -148,15 +147,14 @@ def top_k(d2: np.ndarray, k: int) -> np.ndarray:
 # as (T+1, B, H) views; the cache only means something to backward.
 
 
-def lstm_forward(x, wx, wh, b, h0, c0, sigmoid_candidate):
+def lstm_forward(x, wx, wh, b, h0, c0):
     seq_len, batch, _ = x.shape
     hidden = wh.shape[0]
     # act(z) = s * tanh(s * z) + (1 - s): s = 1/2 on sigmoid rows, 1 on a tanh
     # candidate.  s is a power of two, so folding it into the weights gives
     # tanh the same argument as scaling z, bit for bit.
     scale = np.full((4 * hidden, batch), 0.5)
-    if not sigmoid_candidate:
-        scale[2 * hidden : 3 * hidden] = 1.0
+    scale[2 * hidden : 3 * hidden] = 1.0
     shift = 1.0 - scale
     s = scale[:, :1]
     wh_t = wh.T * s
@@ -177,18 +175,12 @@ def lstm_forward(x, wx, wh, b, h0, c0, sigmoid_candidate):
         c = cs[t + 1]
         np.multiply(g[hidden : 2 * hidden], cs[t], c)
         c += g[:hidden] * g[2 * hidden : 3 * hidden]
-        if sigmoid_candidate:
-            np.multiply(c, 0.5, tc)
-            np.tanh(tc, tc)
-            tc *= 0.5
-            tc += 0.5
-        else:
-            np.tanh(c, tc)
+        np.tanh(c, tc)
         np.multiply(g[3 * hidden :], tc, hs[t + 1])
     return hs.transpose(0, 2, 1), cs.transpose(0, 2, 1), gates
 
 
-def lstm_backward(x, wx, wh, hs, cs, gates, dh_all, sigmoid_candidate):
+def lstm_backward(x, wx, wh, hs, cs, gates, dh_all):
     seq_len, batch, _ = x.shape
     hidden = wh.shape[0]
     hs = hs.transpose(0, 2, 1)
@@ -204,20 +196,12 @@ def lstm_backward(x, wx, wh, hs, cs, gates, dh_all, sigmoid_candidate):
     # step's block in place.
     dz = 1.0 - gates
     dz *= gates
-    if sigmoid_candidate:
-        tc = np.multiply(cs[1:], 0.5)
-        np.tanh(tc, tc)
-        tc *= 0.5
-        tc += 0.5
-        dc_from_h = 1.0 - tc
-        dc_from_h *= tc
-    else:
-        d_cand = dz[:, 2 * hidden : 3 * hidden]
-        np.multiply(cand, cand, d_cand)
-        np.subtract(1.0, d_cand, d_cand)
-        tc = np.tanh(cs[1:])
-        dc_from_h = tc * tc
-        np.subtract(1.0, dc_from_h, dc_from_h)
+    d_cand = dz[:, 2 * hidden : 3 * hidden]
+    np.multiply(cand, cand, d_cand)
+    np.subtract(1.0, d_cand, d_cand)
+    tc = np.tanh(cs[1:])
+    dc_from_h = tc * tc
+    np.subtract(1.0, dc_from_h, dc_from_h)
     dc_from_h *= gates[:, 3 * hidden :]
     dz[:, :hidden] *= cand
     dz[:, hidden : 2 * hidden] *= cs[:-1]

@@ -4,9 +4,9 @@ The encoder reads the full sequence and maps its final hidden state to the
 embedding through a linear head.  The decoder receives the embedding as its
 initial state (two linear maps, one per state half) and reads no input: its
 gates see only the recurrent state, so it has no input weights.  A per-step
-linear readout reconstructs the sequence.  Both LSTMs use the sigmoid
-candidate and cell-output transform.  Training minimizes the mean Euclidean
-distance between each sequence and its reconstruction.
+linear readout reconstructs the sequence.  Both LSTMs run the standard
+tanh cell the classifier's LSTM branch runs.  Training minimizes the mean
+Euclidean distance between each sequence and its reconstruction.
 """
 
 from __future__ import annotations
@@ -65,7 +65,7 @@ class SequenceAutoencoder:
     def _encode(self, params, x):
         xs = np.ascontiguousarray(x.T[:, :, None])
         h0 = np.zeros((x.shape[0], self.spec.hidden_width))
-        enc = _lstm_forward(params, "enc", xs, h0, h0.copy(), sigmoid_candidate=True)
+        enc = _lstm_forward(params, "enc", xs, h0, h0.copy())
         return xs, enc, enc[0][-1] @ params.view("embed.w") + params.view("embed.b")
 
     def encode(self, params, sequences) -> np.ndarray:
@@ -78,7 +78,7 @@ class SequenceAutoencoder:
         dec_h0 = z_embed @ params.view("dec_h0.w") + params.view("dec_h0.b")
         dec_c0 = z_embed @ params.view("dec_c0.w") + params.view("dec_c0.b")
         no_input = np.zeros((seq_len, n, 0))
-        dec = _lstm_forward(params, "dec", no_input, dec_h0, dec_c0, sigmoid_candidate=True)
+        dec = _lstm_forward(params, "dec", no_input, dec_h0, dec_c0)
         # readout per step: (T, n, H) @ (H, 1) -> (n, T)
         recon = (dec[0][1:] @ params.view("out.w"))[:, :, 0].T + params.view("out.b")[0]
         return recon, (x, xs, enc, z_embed, dec, no_input)
@@ -110,9 +110,7 @@ class SequenceAutoencoder:
         grads.view("out.w")[:] += (dec[0][1:] * dy).sum(axis=(0, 1))[:, None]
         grads.view("out.b")[:] += drecon.sum()
         dh_all = dy * out_w[None, None, :, 0]
-        dh0, dc0 = _lstm_backward(
-            params, grads, "dec", no_input, dec, dh_all, sigmoid_candidate=True
-        )
+        dh0, dc0 = _lstm_backward(params, grads, "dec", no_input, dec, dh_all)
 
         dz_embed = dh0 @ params.view("dec_h0.w").T + dc0 @ params.view("dec_c0.w").T
         grads.view("dec_h0.w")[:] += z_embed.T @ dh0
@@ -124,13 +122,13 @@ class SequenceAutoencoder:
         grads.view("embed.b")[:] += dz_embed.sum(axis=0)
         dh_enc = np.zeros((seq_len, n, self.spec.hidden_width))
         dh_enc[-1] = dz_embed @ params.view("embed.w").T
-        _lstm_backward(params, grads, "enc", xs, enc, dh_enc, sigmoid_candidate=True)
+        _lstm_backward(params, grads, "enc", xs, enc, dh_enc)
         return grads
 
 
 @dataclass
 class FittedAutoencoder(Json):
-    JSON_HEADER = {"format_version": 2}
+    JSON_HEADER = {"format_version": 3}
     spec: AutoencoderSpec
     params: NetworkParams
     trace: list = field(default_factory=list, metadata=SKIP)

@@ -224,20 +224,19 @@ def _dense_stack_backward(params, grads, stack, cache, da):
     return da
 
 
-def _lstm_forward(params, name, xs, h0, c0, sigmoid_candidate=False):
+def _lstm_forward(params, name, xs, h0, c0):
     """Sweep lstm unit ``name`` over time-major xs; returns (hs, cs, gates)."""
     return kernels.lstm_forward(
         xs, params.view(f"{name}.wx"), params.view(f"{name}.wh"), params.view(f"{name}.b"),
-        h0, c0, sigmoid_candidate,
+        h0, c0,
     )
 
 
-def _lstm_backward(params, grads, name, xs, states, dh_all, sigmoid_candidate=False):
+def _lstm_backward(params, grads, name, xs, states, dh_all):
     """Accumulate the weight gradients of lstm unit ``name``; returns (dh0, dc0)."""
     hs, cs, gates = states
     dwx, dwh, db, dh0, dc0 = kernels.lstm_backward(
-        xs, params.view(f"{name}.wx"), params.view(f"{name}.wh"), hs, cs, gates, dh_all,
-        sigmoid_candidate,
+        xs, params.view(f"{name}.wx"), params.view(f"{name}.wh"), hs, cs, gates, dh_all
     )
     grads.view(f"{name}.wx")[:] += dwx
     grads.view(f"{name}.wh")[:] += dwh

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from mergepipe.dataset import GeneratorConfig, generate_frame, sentiment_matrix
 from mergepipe.errors import BadConfig, ShapeMismatch
 from mergepipe.neural import FittedAutoencoder, TrainConfig, autoencoder_encode, autoencoder_fit
 from mergepipe.neural.autoencoder import AutoencoderSpec, SequenceAutoencoder
@@ -84,6 +85,21 @@ def test_constant_sequences_reconstructed():
     assert rmse < 0.05
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_reconstructs_closer_than_the_mean_path(seed):
+    # generated sentiment paths drift with the label; the constant to beat is
+    # the per-step mean path, which needs no embedding at all
+    config = GeneratorConfig(
+        n_deals=200, n_numeric=4, n_categorical=2, sentiment_length=40, sentiment_signal=0.5
+    )
+    x = sentiment_matrix(generate_frame(config, seed=7), config.schema())
+    spec = AutoencoderSpec(sequence_length=40, embedding_dim=5, hidden_width=5, seed=seed)
+    fitted = autoencoder_fit(spec, x, TrainConfig())
+    recon, _ = SequenceAutoencoder(spec).forward(fitted.params, x)
+    distance = np.linalg.norm(recon - x, axis=1).mean()
+    assert distance < np.linalg.norm(x.mean(axis=0) - x, axis=1).mean()
+
+
 def test_embedding_shape_and_determinism():
     rng = np.random.default_rng(6)
     x = rng.uniform(-1, 1, (10, 121))
@@ -130,7 +146,7 @@ def test_reloaded_autoencoder_encodes_bit_identically():
     spec = AutoencoderSpec(sequence_length=16, embedding_dim=3, hidden_width=4, seed=3)
     fitted = autoencoder_fit(spec, x, TrainConfig(epochs=3, batch_size=4))
     doc = json.loads(json.dumps(fitted.to_json()))
-    assert doc["format_version"] == 2 and "activation" not in doc["spec"]
+    assert doc["format_version"] == 3 and "activation" not in doc["spec"]
     loaded = FittedAutoencoder.from_json(doc)
     assert loaded.params.values.tobytes() == fitted.params.values.tobytes()
     assert autoencoder_encode(loaded, x).tobytes() == autoencoder_encode(fitted, x).tobytes()

@@ -86,7 +86,7 @@ class TestSearchRows:
             assert 8 * (rows + 1) * n_ref > kernels.SEARCH_BYTES
 
 
-def random_lstm_problem(seed, seq=9, batch=4, in_dim=2, hidden=5):
+def random_lstm_problem(seed, seq=9, batch=4, in_dim=2, hidden=5, zero_start=False):
     rng = np.random.default_rng(seed)
     x = rng.normal(size=(seq, batch, in_dim))
     wx = rng.normal(0, 0.4, (in_dim, 4 * hidden))
@@ -94,6 +94,8 @@ def random_lstm_problem(seed, seq=9, batch=4, in_dim=2, hidden=5):
     b = rng.normal(0, 0.2, 4 * hidden)
     h0 = rng.normal(0, 0.5, (batch, hidden))
     c0 = rng.normal(0, 0.5, (batch, hidden))
+    if zero_start:
+        h0[:] = c0[:] = 0.0
     dh_all = rng.normal(size=(seq, batch, hidden))
     return x, wx, wh, b, h0, c0, dh_all
 
@@ -103,7 +105,7 @@ def _sigmoid_loops(z):
     return np.where(z >= 0.0, 1.0 / (1.0 + ez), ez / (1.0 + ez))
 
 
-def _lstm_loops(x, wx, wh, b, h0, c0, dh_all, sigmoid_candidate):
+def _lstm_loops(x, wx, wh, b, h0, c0, dh_all):
     """Per-step reference: forward keeps the pre-activations z, backward
     recomputes every activation from them and accumulates the weight
     gradients step by step.  Returns (hs, cs, dwx, dwh, db, dh0, dc0)."""
@@ -113,13 +115,12 @@ def _lstm_loops(x, wx, wh, b, h0, c0, dh_all, sigmoid_candidate):
     cs = np.empty((seq_len + 1, batch, hidden))
     zs = np.empty((seq_len, batch, 4 * hidden))
     hs[0], cs[0] = h0, c0
-    cell = _sigmoid_loops if sigmoid_candidate else np.tanh
     for t in range(seq_len):
         z = zs[t] = x[t] @ wx + hs[t] @ wh + b
         sig = _sigmoid_loops(z)
-        cand = cell(z[:, 2 * hidden : 3 * hidden])
+        cand = np.tanh(z[:, 2 * hidden : 3 * hidden])
         cs[t + 1] = sig[:, hidden : 2 * hidden] * cs[t] + sig[:, :hidden] * cand
-        hs[t + 1] = sig[:, 3 * hidden :] * cell(cs[t + 1])
+        hs[t + 1] = sig[:, 3 * hidden :] * np.tanh(cs[t + 1])
     dwx, dwh, db = np.zeros_like(wx), np.zeros_like(wh), np.zeros_like(b)
     dh = np.zeros((batch, hidden))
     dc = np.zeros((batch, hidden))
@@ -127,17 +128,13 @@ def _lstm_loops(x, wx, wh, b, h0, c0, dh_all, sigmoid_candidate):
         dh = dh + dh_all[t]
         sig = _sigmoid_loops(zs[t])
         i_g, f_g, o_g = sig[:, :hidden], sig[:, hidden : 2 * hidden], sig[:, 3 * hidden :]
-        cand = cell(zs[t][:, 2 * hidden : 3 * hidden])
-        tc = cell(cs[t + 1])
-        if sigmoid_candidate:
-            dcand, dtc = cand * (1.0 - cand), tc * (1.0 - tc)
-        else:
-            dcand, dtc = 1.0 - cand * cand, 1.0 - tc * tc
-        dct = dc + dh * o_g * dtc
+        cand = np.tanh(zs[t][:, 2 * hidden : 3 * hidden])
+        tc = np.tanh(cs[t + 1])
+        dct = dc + dh * o_g * (1.0 - tc * tc)
         dz = np.concatenate([
             dct * cand * i_g * (1.0 - i_g),
             dct * cs[t] * f_g * (1.0 - f_g),
-            dct * i_g * dcand,
+            dct * i_g * (1.0 - cand * cand),
             dh * tc * o_g * (1.0 - o_g),
         ], axis=1)
         dwx += x[t].T @ dz
@@ -150,57 +147,64 @@ def _lstm_loops(x, wx, wh, b, h0, c0, dh_all, sigmoid_candidate):
 
 class TestLstmNumpy:
     """The LSTM kernels against the per-step reference and finite
-    differences, called positionally as the benchmark calls them."""
+    differences, called positionally as the benchmark calls them.  Each
+    check runs from a random state and from the zero state the encoder and
+    the classifier's LSTM branch start from; an input width of 0 is the
+    autoencoder's decoder, which reads no input."""
 
-    @pytest.mark.parametrize("sigmoid_candidate", [False, True])
-    @pytest.mark.parametrize("in_dim", [1, 2])
+    @pytest.mark.parametrize("zero_start", [False, True])
+    @pytest.mark.parametrize("in_dim", [0, 1, 2])
     @pytest.mark.parametrize("seq", [1, 9, 121])
-    def test_matches_loop_reference(self, seq, in_dim, sigmoid_candidate):
-        x, wx, wh, b, h0, c0, dh_all = random_lstm_problem(seq + in_dim, seq=seq, in_dim=in_dim)
-        ref = _lstm_loops(x, wx, wh, b, h0, c0, dh_all, sigmoid_candidate)
-        hs, cs, cache = kernels.lstm_forward(x, wx, wh, b, h0, c0, sigmoid_candidate)
-        grads = kernels.lstm_backward(x, wx, wh, hs, cs, cache, dh_all, sigmoid_candidate)
+    def test_matches_loop_reference(self, seq, in_dim, zero_start):
+        x, wx, wh, b, h0, c0, dh_all = random_lstm_problem(
+            seq + in_dim, seq=seq, in_dim=in_dim, zero_start=zero_start
+        )
+        ref = _lstm_loops(x, wx, wh, b, h0, c0, dh_all)
+        hs, cs, cache = kernels.lstm_forward(x, wx, wh, b, h0, c0)
+        grads = kernels.lstm_backward(x, wx, wh, hs, cs, cache, dh_all)
         assert len(grads) == 5  # dwx, dwh, db, dh0, dc0: no input gradient
         for got, want in zip((hs, cs) + tuple(grads), ref):
             assert got.shape == want.shape
             assert np.allclose(got, want, rtol=0.0, atol=1e-12)
 
-    @pytest.mark.parametrize("sigmoid_candidate", [False, True])
-    def test_encoder_gradient_at_last_step_only(self, sigmoid_candidate):
+    @pytest.mark.parametrize("zero_start", [False, True])
+    def test_encoder_gradient_at_last_step_only(self, zero_start):
         # the autoencoder's encoder and the classifier's LSTM branch read
         # only the last hidden state; batch 1 is a single scored deal
-        x, wx, wh, b, h0, c0, dh_all = random_lstm_problem(5, seq=121, batch=1, in_dim=1)
+        x, wx, wh, b, h0, c0, dh_all = random_lstm_problem(
+            5, seq=121, batch=1, in_dim=1, zero_start=zero_start
+        )
         dh_all[:-1] = 0.0
-        ref = _lstm_loops(x, wx, wh, b, h0, c0, dh_all, sigmoid_candidate)
-        hs, cs, cache = kernels.lstm_forward(x, wx, wh, b, h0, c0, sigmoid_candidate)
-        grads = kernels.lstm_backward(x, wx, wh, hs, cs, cache, dh_all, sigmoid_candidate)
+        ref = _lstm_loops(x, wx, wh, b, h0, c0, dh_all)
+        hs, cs, cache = kernels.lstm_forward(x, wx, wh, b, h0, c0)
+        grads = kernels.lstm_backward(x, wx, wh, hs, cs, cache, dh_all)
         for got, want in zip((hs, cs) + tuple(grads), ref):
             assert got.shape == want.shape
             assert np.allclose(got, want, rtol=0.0, atol=1e-12)
 
-    @pytest.mark.parametrize("sigmoid_candidate", [False, True])
-    def test_sweep_equals_chained_single_steps(self, sigmoid_candidate):
-        x, wx, wh, b, h0, c0, _ = random_lstm_problem(8, seq=12, in_dim=1)
-        hs, cs, _ = kernels.lstm_forward(x, wx, wh, b, h0, c0, sigmoid_candidate)
+    @pytest.mark.parametrize("zero_start", [False, True])
+    def test_sweep_equals_chained_single_steps(self, zero_start):
+        x, wx, wh, b, h0, c0, _ = random_lstm_problem(8, seq=12, in_dim=1, zero_start=zero_start)
+        hs, cs, _ = kernels.lstm_forward(x, wx, wh, b, h0, c0)
         h, c = h0, c0
         for t in range(x.shape[0]):
-            step_hs, step_cs, _ = kernels.lstm_forward(
-                x[t : t + 1], wx, wh, b, h, c, sigmoid_candidate
-            )
+            step_hs, step_cs, _ = kernels.lstm_forward(x[t : t + 1], wx, wh, b, h, c)
             h, c = step_hs[1], step_cs[1]
             assert np.array_equal(h, hs[t + 1]) and np.array_equal(c, cs[t + 1])
 
-    @pytest.mark.parametrize("sigmoid_candidate", [False, True])
-    def test_backward_matches_finite_differences(self, sigmoid_candidate):
-        x, wx, wh, b, h0, c0, dh_all = random_lstm_problem(11, seq=6, batch=3, hidden=3)
+    @pytest.mark.parametrize("zero_start", [False, True])
+    def test_backward_matches_finite_differences(self, zero_start):
+        x, wx, wh, b, h0, c0, dh_all = random_lstm_problem(
+            11, seq=6, batch=3, hidden=3, zero_start=zero_start
+        )
         inputs = [wx, wh, b, h0, c0]
 
         def objective():
-            hs, _, _ = kernels.lstm_forward(x, *inputs, sigmoid_candidate)
+            hs, _, _ = kernels.lstm_forward(x, *inputs)
             return float(np.sum(hs[1:] * dh_all))
 
-        hs, cs, cache = kernels.lstm_forward(x, wx, wh, b, h0, c0, sigmoid_candidate)
-        grads = kernels.lstm_backward(x, wx, wh, hs, cs, cache, dh_all, sigmoid_candidate)
+        hs, cs, cache = kernels.lstm_forward(x, wx, wh, b, h0, c0)
+        grads = kernels.lstm_backward(x, wx, wh, hs, cs, cache, dh_all)
         eps = 1e-6
         for array, grad in zip(inputs, grads):
             numeric = np.empty_like(array)

@@ -104,7 +104,7 @@ class TestForward:
 
 def single_step(cell, x_t, h, c):
     """One standard LSTM step (sigmoid gates, tanh candidate): a T=1 sweep."""
-    hs, cs, _ = kernels.lstm_forward(x_t[None], cell["wx"], cell["wh"], cell["b"], h, c, False)
+    hs, cs, _ = kernels.lstm_forward(x_t[None], cell["wx"], cell["wh"], cell["b"], h, c)
     return hs[1], cs[1]
 
 

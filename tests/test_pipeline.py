@@ -426,6 +426,22 @@ class TestSavedFields:
             with pytest.raises(BadConfig, match="header must be"):
                 FittedPipeline.from_json({**doc, "format_version": version})
 
+    def test_f2_model_json_of_format_2_raises_bad_config(self):
+        # a format-2 autoencoder holds weights of the sigmoid-candidate cell
+        # the LSTM no longer runs; f1 and f3 files carry no autoencoder
+        train, _, schema = universe(seed=19, n=240, sentiment_length=12)
+        docs = {
+            framework: pipeline.fit_pipeline(train, schema, self.config(framework)).to_json()
+            for framework in ("f1", "f2", "f3")
+        }
+        assert docs["f1"]["autoencoder"] is None and docs["f3"]["autoencoder"] is None
+        assert all(doc["format_version"] == 2 for doc in docs.values())
+        f2 = docs["f2"]
+        assert f2["autoencoder"]["format_version"] == 3
+        old = {**f2, "autoencoder": {**f2["autoencoder"], "format_version": 2}}
+        with pytest.raises(BadConfig, match="autoencoder: header must be"):
+            FittedPipeline.from_json(json.loads(json.dumps(old)))
+
     def test_network_seed_follows_the_config_seed(self):
         config = self.config("f1", network=small_net((6, 4), seed=0), seed=5)
         assert config.network.seed == 5
