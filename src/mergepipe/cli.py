@@ -77,9 +77,8 @@ def _digest(doc) -> str:
 
 
 def _write_json(path: Path, doc) -> None:
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+    # json.dumps without indent runs the C encoder; json.dump and indent run the Python one
+    path.write_text(json.dumps(doc) + "\n")
 
 
 def _write_manifest(out_dir: Path, command: str, config_doc, seed, artifacts, started) -> None:

@@ -2,17 +2,20 @@
 
 A ``Json`` dataclass writes its ``JSON_HEADER`` keys, then each field in
 declaration order, except fields declared ``init=False`` or marked ``SKIP``.
-An array becomes nested lists with null for a non-finite cell, a date an ISO
-string, a nested ``Json`` value its own form; ``json`` writes the rest, tuples
-as lists.  ``from_json`` decodes by the resolved field annotations: an unknown
-key, a header mismatch, or a wrong or missing value raises ``BadConfig``.
+An array becomes a block: dtype ``"<f8"`` or ``"<i8"``, shape, and the base64
+of its little-endian C-order bytes.  A date becomes an ISO string, a nested
+``Json`` value its own form; ``json`` writes the rest, tuples as lists.
+``from_json`` decodes by the resolved field annotations: an unknown key, a
+header mismatch, a damaged block, or a wrong or missing value raises BadConfig.
 """
 
 from __future__ import annotations
 
+import base64
 import dataclasses
 import datetime as dt
 import functools
+import math
 import types
 import typing
 
@@ -85,7 +88,7 @@ def _encoder(tp):
         item = _encoder(args[0])
         return None if item is None else (lambda v: [item(x) for x in v])
     if tp is np.ndarray:
-        return lambda v: np.where(np.isfinite(v), v, None).tolist()
+        return _encode_block
     if tp is dt.date:
         return dt.date.isoformat
     if isinstance(tp, type) and issubclass(tp, Json):
@@ -113,14 +116,7 @@ def _decode(tp, value):
             return tuple(_decode(t, x) for t, x in zip(args, value))
         return origin(_decode(args[0], x) for x in value)
     if tp is np.ndarray:
-        try:
-            array = np.asarray(_expect(value, list, tuple))
-            array = array.astype(np.float64) if array.dtype == object else array  # null cells
-        except (TypeError, ValueError) as exc:
-            raise BadConfig(f"expected a numeric array: {exc}") from None
-        if array.dtype.kind not in "if":
-            raise BadConfig(f"expected a numeric array, got {array.dtype} cells")
-        return array
+        return _decode_block(value)
     if tp is dt.date:
         try:
             return dt.date.fromisoformat(_expect(value, str))
@@ -129,6 +125,31 @@ def _decode(tp, value):
     if issubclass(tp, Json):
         return tp.from_json(value)
     return _expect(value, int, float) if tp is float else _expect(value, tp)
+
+
+def _encode_block(array: np.ndarray) -> dict:
+    name = "<f8" if array.dtype.kind == "f" else "<i8"
+    data = base64.b64encode(np.ascontiguousarray(array, dtype=name)).decode()
+    return {"dtype": name, "shape": list(array.shape), "data": data}
+
+
+def _decode_block(value) -> np.ndarray:
+    """The array a block holds, native-endian and owning its memory."""
+    if not isinstance(value, dict) or value.keys() != {"dtype", "shape", "data"}:
+        raise BadConfig("expected an array block with keys dtype, shape and data")
+    dtype, shape, data = value["dtype"], value["shape"], value["data"]
+    if dtype not in ("<f8", "<i8"):
+        raise BadConfig(f"array dtype must be '<f8' or '<i8', got {dtype!r}")
+    if not isinstance(shape, list) or any(type(d) is not int or d < 0 for d in shape):
+        raise BadConfig(f"array shape must be a list of non-negative ints, got {shape!r}")
+    nbytes = 8 * math.prod(shape)
+    if not isinstance(data, str) or len(data) != 4 * -(-nbytes // 3):
+        raise BadConfig(f"array data does not hold {nbytes} bytes for shape {shape}")
+    try:  # a wrong decoded length fails frombuffer or reshape
+        array = np.frombuffer(base64.b64decode(data, validate=True), dtype).reshape(shape)
+    except ValueError:  # binascii.Error is a ValueError
+        raise BadConfig(f"array data is not base64 of {nbytes} bytes") from None
+    return array.astype(array.dtype.newbyteorder("="))
 
 
 def _expect(value, *kinds):

@@ -47,7 +47,7 @@ import numpy as np
 from . import kernels
 from .codec import SKIP, Json
 from .dataset import DatasetSchema, DealFrame
-from .errors import NoComparableRow, TooFewRows
+from .errors import BadConfig, NoComparableRow, TooFewRows
 
 
 @dataclass(frozen=True)
@@ -70,6 +70,18 @@ class ImputerModel(Json):
 
     def __post_init__(self):
         ref_num, ref_cat = self.reference_numeric, self.reference_categorical
+        schema = self.schema
+        if ref_num.shape[1:] != (schema.n_numeric,):
+            raise BadConfig(f"imputer.reference_numeric (shape {ref_num.shape}) disagrees "
+                            f"with schema.numeric_names ({schema.n_numeric})")
+        if ref_cat.shape != (len(ref_num), schema.n_categorical):
+            raise BadConfig(f"imputer.reference_categorical (shape {ref_cat.shape}) disagrees "
+                            f"with imputer.reference_numeric (shape {ref_num.shape}) or "
+                            f"schema.categorical_names ({schema.n_categorical})")
+        n_levels = np.array([len(levels) for levels in schema.categorical_levels])
+        if ref_cat.dtype.kind != "i" or ((ref_cat < -1) | (ref_cat >= n_levels)).any():
+            raise BadConfig("imputer.reference_categorical holds a code outside "
+                            "schema.categorical_levels")
         observed = np.isfinite(ref_num)
         counts = observed.sum(axis=0)
         denom = np.maximum(counts, 1)

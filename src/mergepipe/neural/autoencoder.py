@@ -128,7 +128,7 @@ class SequenceAutoencoder:
 
 @dataclass
 class FittedAutoencoder(Json):
-    JSON_HEADER = {"format_version": 3}
+    JSON_HEADER = {"format_version": 4}
     spec: AutoencoderSpec
     params: NetworkParams
     trace: list = field(default_factory=list, metadata=SKIP)

@@ -69,7 +69,7 @@ def _checked(p, q):
     q = np.asarray(q, dtype=np.float64)
     if p.shape != q.shape:
         raise LengthMismatch(f"labels {p.shape} vs probabilities {q.shape}")
-    return p, np.clip(q, EPS, 1.0 - EPS)
+    return p, np.minimum(np.maximum(q, EPS), 1.0 - EPS)  # np.clip's bits, without its wrapper
 
 
 def loss_value_and_grad(kind: LossKind, p, q, weights=None):
@@ -80,24 +80,26 @@ def loss_value_and_grad(kind: LossKind, p, q, weights=None):
     n = p.shape[0]
     if weights is not None and kind.kind != "weighted_cross_entropy":
         raise BadConfig("sample weights are only supported with weighted cross-entropy loss")
+    not_p, not_q = 1.0 - p, 1.0 - q
     if kind.kind in ("cross_entropy", "weighted_cross_entropy"):
-        per_sample = -(p * np.log(q) + (1.0 - p) * np.log(1.0 - q))
-        grad = -(p / q - (1.0 - p) / (1.0 - q)) / n
+        per_sample = -(p * np.log(q) + not_p * np.log(not_q))
+        grad = -(p / q - not_p / not_q) / n
         if weights is None:
             return float(np.mean(per_sample)), grad
         return float(np.mean(weights * per_sample)), weights * grad
     if kind.kind == "focal":
         g = kind.gamma
-        value = -np.mean(p * (1.0 - q) ** g * np.log(q) + (1.0 - p) * q**g * np.log(1.0 - q))
-        pos = (1.0 - q) ** g / q - g * (1.0 - q) ** (g - 1.0) * np.log(q)
-        neg = g * q ** (g - 1.0) * np.log(1.0 - q) - q**g / (1.0 - q)
-        return float(value), -(p * pos + (1.0 - p) * neg) / n
+        value = -np.mean(p * not_q**g * np.log(q) + not_p * q**g * np.log(not_q))
+        pos = not_q**g / q - g * not_q ** (g - 1.0) * np.log(q)
+        neg = g * q ** (g - 1.0) * np.log(not_q) - q**g / not_q
+        return float(value), -(p * pos + not_p * neg) / n
     alpha, beta = (0.5, 0.5) if kind.kind == "f1" else (kind.alpha, kind.beta)
-    s = np.sum(p * q)
-    t = np.sum(p * q + alpha * ((1.0 - p) * q) + beta * (p * (1.0 - q)))
+    pq = p * q
+    s = np.sum(pq)
+    t = np.sum(pq + alpha * (not_p * q) + beta * (p * not_q))
     if t == 0.0:
         return 1.0, np.zeros_like(q)
-    dt = p + alpha * (1.0 - p) - beta * p
+    dt = p + alpha * not_p - beta * p
     return float(1.0 - s / t), -(p * t - s * dt) / (t * t)
 
 

@@ -120,14 +120,15 @@ class TrainConfig(Json):
 class NetworkParams(Json):
     """Flat trainable parameter store with a named shape table."""
 
-    JSON_HEADER = {"format_version": 2}
+    JSON_HEADER = {"format_version": 3}
     layout: tuple[tuple[str, int, tuple[int, ...]], ...]  # ((name, offset, shape), ...)
     values: np.ndarray
 
     def __post_init__(self):
         size = sum(math.prod(shape) for _, _, shape in self.layout)
-        if self.values.size != size:
-            raise BadConfig(f"params hold {self.values.size} values; the layout needs {size}")
+        if self.values.shape != (size,):
+            raise BadConfig(f"params hold {self.values.size} values; the layout needs {size} "
+                            "in one flat vector")
         # name -> array view into values, resolved once instead of on every
         # view call; values is only ever updated in place
         self._views = {
@@ -215,12 +216,15 @@ def _dense_stack_forward(params, stack, x):
     return a, cache
 
 
-def _dense_stack_backward(params, grads, stack, cache, da):
-    for (name, _), (a_in, z, act) in zip(reversed(stack), reversed(cache)):
+def _dense_stack_backward(params, grads, stack, cache, da, input_grad):
+    """Accumulate the stack's gradients; returns d(stack input), or None
+    without ``input_grad``."""
+    for i in reversed(range(len(stack))):
+        name, (a_in, z, act) = stack[i][0], cache[i]
         dz = da * activation_grad(act, z)
         grads.view(f"{name}.w")[:] += a_in.T @ dz
         grads.view(f"{name}.b")[:] += dz.sum(axis=0)
-        da = dz @ params.view(f"{name}.w").T
+        da = dz @ params.view(f"{name}.w").T if i or input_grad else None
     return da
 
 
@@ -253,12 +257,12 @@ def _head_forward(params, a):
     return q, (a, z)
 
 
-def _head_backward(params, grads, cache, dq, q):
+def _head_backward(params, grads, cache, dq, q, input_grad):
     a, _ = cache
     dz = (dq * q * (1.0 - q))[:, None]
     grads.view("head.w")[:] += a.T @ dz
     grads.view("head.b")[:] += dz.sum(axis=0)
-    return dz @ params.view("head.w").T
+    return dz @ params.view("head.w").T if input_grad else None
 
 
 class DenseNet:
@@ -354,16 +358,20 @@ class DenseNet:
         return q, (tab_cache + head_stack_cache, (lstm_cache, head_cache))
 
     def backward(self, params, cache, dq, q, grads=None) -> NetworkParams:
-        """Parameter gradient; written into ``grads`` when given."""
+        """Parameter gradient; written into ``grads`` when given.  No
+        gradient is taken with respect to the network's own inputs."""
         dense_cache, (lstm_cache, head_cache) = cache
         n_tab = len(self._tab_stack)
         grads = self._layout.zeros(grads)
-        da = _head_backward(params, grads, head_cache, dq, q)
-        dmerged = _dense_stack_backward(params, grads, self._head_stack, dense_cache[n_tab:], da)
-        if self.input_dim is not None:
+        merged_grad = bool(self._tab_stack) or self.lstm is not None
+        da = _head_backward(params, grads, head_cache, dq, q,
+                            input_grad=merged_grad or bool(self._head_stack))
+        dmerged = _dense_stack_backward(params, grads, self._head_stack, dense_cache[n_tab:], da,
+                                        input_grad=merged_grad)
+        if self._tab_stack:
             _dense_stack_backward(
                 params, grads, self._tab_stack, dense_cache[:n_tab],
-                dmerged[:, : self._tab_width],
+                dmerged[:, : self._tab_width], input_grad=False,
             )
         if self.lstm is not None:
             xs, states = lstm_cache
@@ -508,7 +516,7 @@ def train(
                 params, *(a[idx] for a in inputs), target=target[idx],
                 weights=None if sample_weight is None else sample_weight[idx], grads=grads,
             )
-            if not np.isfinite(value):
+            if not math.isfinite(value):
                 raise NonFiniteLoss(f"loss diverged at epoch {epoch}")
             adam.update(params.values, grads.values, config)
             if not np.isfinite(params.values).all():

@@ -100,7 +100,7 @@ class FrameworkConfig(Json):
 class FittedPipeline(Json):
     """Everything fitted on training rows; prediction never refits."""
 
-    JSON_HEADER = {"format_version": 2}
+    JSON_HEADER = {"format_version": 3}
     config: FrameworkConfig
     schema: DatasetSchema
     imputer: ImputerModel
@@ -182,7 +182,33 @@ class FittedPipeline(Json):
         """Read what ``to_json`` wrote; the imputer shares the pipeline's one schema."""
         schema = DatasetSchema.from_json(cls._check_header(doc).get("schema"))
         imputer = ImputerModel.from_json(doc.get("imputer"), schema=schema)
-        return super().from_json(doc, schema=schema, imputer=imputer)
+        fitted = super().from_json(doc, schema=schema, imputer=imputer)
+        fitted._check_parts()
+        return fitted
+
+    def _check_parts(self) -> None:
+        """BadConfig naming both fields where the parts disagree; the imputer
+        checks its own against the schema."""
+        n_numeric, kept = self.schema.n_numeric, self.kept_onehot_cols
+        n_onehot = sum(len(levels) for levels in self.schema.categorical_levels)
+        pca, mca = self.pca, self.mca
+        for name, array, agrees, other in (
+            ("pca.mean", pca.mean, pca.mean.shape == (n_numeric,), "schema.numeric_names"),
+            ("pca.scale", pca.scale, pca.scale.shape == (n_numeric,), "schema.numeric_names"),
+            ("pca.components", pca.components, pca.components.shape[1:] == (n_numeric,),
+             "schema.numeric_names"),
+            ("kept_onehot_cols", kept, kept.ndim == 1 and kept.dtype.kind == "i"
+             and ((kept >= 0) & (kept < n_onehot)).all(), "schema.categorical_levels"),
+            ("mca.column_masses", mca.column_masses, mca.column_masses.shape == kept.shape,
+             "kept_onehot_cols"),
+            ("mca.column_axes", mca.column_axes, mca.column_axes.shape[:-1] == kept.shape,
+             "kept_onehot_cols"),
+        ):
+            if not agrees:
+                raise BadConfig(f"{name} (shape {array.shape}) disagrees with {other}")
+        if self.params.layout != self._model()._layout.entries:
+            raise BadConfig("params.layout disagrees with the network that config and the "
+                            "PCA, MCA and autoencoder widths build")
 
 
 def _validation_split(dates: np.ndarray, fraction: float):

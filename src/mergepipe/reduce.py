@@ -47,7 +47,7 @@ def one_hot_encode(deals, schema: DatasetSchema) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PcaModel(Json):
-    JSON_HEADER = {"format_version": 1, "kind": "pca"}
+    JSON_HEADER = {"format_version": 2, "kind": "pca"}
     mean: np.ndarray  # (m,)
     scale: np.ndarray  # (m,) training std, zero-spread columns get 1
     components: np.ndarray  # (n_keep, m), orthonormal rows
@@ -104,7 +104,7 @@ def pca_transform(model: PcaModel, X: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class McaModel(Json):
-    JSON_HEADER = {"format_version": 2, "kind": "mca"}
+    JSON_HEADER = {"format_version": 3, "kind": "mca"}
     column_masses: np.ndarray  # (J,), sums to 1
     column_axes: np.ndarray  # (J, n_keep): D_c^{-1/2} V
     principal_inertias: np.ndarray  # (n_keep,), nonincreasing

@@ -146,7 +146,7 @@ def test_reloaded_autoencoder_encodes_bit_identically():
     spec = AutoencoderSpec(sequence_length=16, embedding_dim=3, hidden_width=4, seed=3)
     fitted = autoencoder_fit(spec, x, TrainConfig(epochs=3, batch_size=4))
     doc = json.loads(json.dumps(fitted.to_json()))
-    assert doc["format_version"] == 3 and "activation" not in doc["spec"]
+    assert doc["format_version"] == 4 and "activation" not in doc["spec"]
     loaded = FittedAutoencoder.from_json(doc)
     assert loaded.params.values.tobytes() == fitted.params.values.tobytes()
     assert autoencoder_encode(loaded, x).tobytes() == autoencoder_encode(fitted, x).tobytes()

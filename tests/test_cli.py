@@ -680,7 +680,7 @@ class TestReload:
         loaded = FittedPipeline.from_json(json.loads(text))
         assert loaded.scores(test).tobytes() == fitted.scores(test).tobytes()
         assert np.isfinite(loaded.scores(test)).all()
-        assert json.dumps(loaded.to_json(), indent=2) + "\n" == text
+        assert json.dumps(loaded.to_json()) + "\n" == text
 
     @pytest.mark.parametrize(
         "route", [["--preset", "f1/smote-nn-f1"], ["--baseline", "logit"],

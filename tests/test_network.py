@@ -1,3 +1,4 @@
+import base64
 import math
 
 import numpy as np
@@ -382,8 +383,16 @@ def test_params_json_round_trip():
 
 
 def test_params_shorter_than_layout_raise_bad_config():
-    doc = {"format_version": 2, "layout": [["d0.w", 0, [3, 2]]], "values": [0.0, 0.0]}
+    values = {"dtype": "<f8", "shape": [2], "data": base64.b64encode(bytes(16)).decode()}
+    doc = {"format_version": 3, "layout": [["d0.w", 0, [3, 2]]], "values": values}
     with pytest.raises(BadConfig, match="params hold 2 values; the layout needs 6"):
+        NetworkParams.from_json(doc)
+
+
+def test_params_that_are_not_one_vector_raise_bad_config():
+    values = {"dtype": "<f8", "shape": [3, 2], "data": base64.b64encode(bytes(48)).decode()}
+    doc = {"format_version": 3, "layout": [["d0.w", 0, [3, 2]]], "values": values}
+    with pytest.raises(BadConfig, match="the layout needs 6 in one flat vector"):
         NetworkParams.from_json(doc)
 
 

@@ -1,3 +1,4 @@
+import base64
 import dataclasses
 import json
 import weakref
@@ -421,8 +422,8 @@ class TestSavedFields:
     def test_format_1_model_json_raises_bad_config(self):
         train, _, schema = universe(seed=19, n=240)
         doc = pipeline.fit_pipeline(train, schema, self.config("f1")).to_json()
-        assert doc["format_version"] == 2 and "feature_width" not in doc
-        for version in (1, 3):
+        assert doc["format_version"] == 3 and "feature_width" not in doc
+        for version in (1, 2, 4):
             with pytest.raises(BadConfig, match="header must be"):
                 FittedPipeline.from_json({**doc, "format_version": version})
 
@@ -435,9 +436,9 @@ class TestSavedFields:
             for framework in ("f1", "f2", "f3")
         }
         assert docs["f1"]["autoencoder"] is None and docs["f3"]["autoencoder"] is None
-        assert all(doc["format_version"] == 2 for doc in docs.values())
+        assert all(doc["format_version"] == 3 for doc in docs.values())
         f2 = docs["f2"]
-        assert f2["autoencoder"]["format_version"] == 3
+        assert f2["autoencoder"]["format_version"] == 4
         old = {**f2, "autoencoder": {**f2["autoencoder"], "format_version": 2}}
         with pytest.raises(BadConfig, match="autoencoder: header must be"):
             FittedPipeline.from_json(json.loads(json.dumps(old)))
@@ -457,6 +458,83 @@ class TestSavedFields:
         ]
         assert len({f.params.values.tobytes() for f in fits}) == 1
         assert len({json.dumps(f.config.to_json()) for f in fits}) == 1
+
+
+def _block(array):
+    """The codec's block form of an array."""
+    name = "<f8" if array.dtype.kind == "f" else "<i8"
+    return {"dtype": name, "shape": list(array.shape),
+            "data": base64.b64encode(array.astype(name).tobytes()).decode()}
+
+
+# a cut of one model.json field -> the two fields the BadConfig names
+PART_CUTS = {
+    "schema.numeric_names": (
+        lambda d, m: d["schema"]["numeric_names"].pop(),
+        r"imputer.reference_numeric .* schema.numeric_names"),
+    "schema.categorical_names": (
+        lambda d, m: (d["schema"]["categorical_names"].pop(),
+                      d["schema"]["categorical_levels"].pop()),
+        r"imputer.reference_categorical .* schema.categorical_names"),
+    "imputer.reference_numeric column": (
+        lambda d, m: d["imputer"].update(reference_numeric=_block(m.imputer.reference_numeric[:, 1:])),
+        r"imputer.reference_numeric .* schema.numeric_names"),
+    "imputer.reference_numeric row": (
+        lambda d, m: d["imputer"].update(reference_numeric=_block(m.imputer.reference_numeric[1:])),
+        r"imputer.reference_categorical .* imputer.reference_numeric"),
+    "imputer.reference_categorical code": (
+        lambda d, m: d["imputer"].update(
+            reference_categorical=_block(m.imputer.reference_categorical + 99)),
+        r"imputer.reference_categorical .* schema.categorical_levels"),
+    "pca.mean": (lambda d, m: d["pca"].update(mean=_block(m.pca.mean[1:])),
+                 r"pca.mean .* schema.numeric_names"),
+    "pca.scale": (lambda d, m: d["pca"].update(scale=_block(m.pca.scale[1:])),
+                  r"pca.scale .* schema.numeric_names"),
+    "pca.components column": (
+        lambda d, m: d["pca"].update(components=_block(m.pca.components[:, 1:])),
+        r"pca.components .* schema.numeric_names"),
+    "pca.components row": (
+        lambda d, m: d["pca"].update(components=_block(m.pca.components[1:])),
+        r"params.layout .* PCA"),
+    "mca.column_axes row": (
+        lambda d, m: d["mca"].update(column_axes=_block(m.mca.column_axes[1:])),
+        r"mca.column_axes .* kept_onehot_cols"),
+    "mca.column_axes column": (
+        lambda d, m: d["mca"].update(column_axes=_block(m.mca.column_axes[:, 1:])),
+        r"params.layout .* MCA"),
+    "mca.column_masses": (
+        lambda d, m: d["mca"].update(column_masses=_block(m.mca.column_masses[1:])),
+        r"mca.column_masses .* kept_onehot_cols"),
+    "kept_onehot_cols length": (
+        lambda d, m: d.update(kept_onehot_cols=_block(m.kept_onehot_cols[1:])),
+        r"mca.column_masses .* kept_onehot_cols"),
+    "kept_onehot_cols range": (
+        lambda d, m: d.update(kept_onehot_cols=_block(m.kept_onehot_cols + 100)),
+        r"kept_onehot_cols .* schema.categorical_levels"),
+    "kept_onehot_cols dtype": (
+        lambda d, m: d.update(kept_onehot_cols=_block(m.kept_onehot_cols.astype(float))),
+        r"kept_onehot_cols .* schema.categorical_levels"),
+    "config.network width": (
+        lambda d, m: d["config"]["network"]["layers"][0].update(width=7),
+        r"params.layout .* config"),
+}
+
+
+@pytest.fixture(scope="module")
+def f1_fit():
+    train, test, schema = universe(seed=19, n=240)
+    return pipeline.fit_pipeline(train, schema, TestSavedFields.config("f1")), test
+
+
+@pytest.mark.parametrize("cut", PART_CUTS)
+def test_model_json_whose_parts_disagree_raises_bad_config(f1_fit, cut):
+    fitted, test = f1_fit
+    doc = json.loads(json.dumps(fitted.to_json()))
+    assert FittedPipeline.from_json(doc).scores(test).tobytes() == fitted.scores(test).tobytes()
+    mutate, names = PART_CUTS[cut]
+    mutate(doc, fitted)
+    with pytest.raises(BadConfig, match=names):
+        FittedPipeline.from_json(doc)
 
 
 class TestLeakage:
