@@ -7,13 +7,15 @@ can be reproduced exactly.  All artifacts except the manifest (which
 records wall time) are byte-identical across reruns with the same inputs
 and seed.
 
-Exit codes: 0 success, 1 I/O failure, 2 invalid configuration,
-3 pipeline stage failure.
+Exit codes: 0 success, 1 I/O failure, 2 invalid configuration or input,
+3 pipeline stage failure.  ``_phase`` alone maps errors onto them, so every
+command reports the same error with the same code.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import datetime as dt
@@ -26,6 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from .codec import Json
 from .dataset import (
     GeneratorConfig,
     SplitSpec,
@@ -38,12 +41,7 @@ from .dataset import (
 )
 from .errors import BadConfig, EmptySpace, MergepipeError
 from .metrics import curve_to_csv
-from .pipeline import (
-    FrameworkConfig,
-    hyper_search,
-    logit_fields,
-    run_config,
-)
+from .pipeline import FrameworkConfig, hyper_search, logit_fields, run_config
 from .presets import PRESET_NAMES, preset
 
 BASELINES = ("logit", "weighted-logit")
@@ -51,9 +49,27 @@ BASELINES = ("logit", "weighted-logit")
 HEADLINE = ("accuracy", "precision", "recall", "f1", "auroc", "aupr")
 
 
-def _die(code: int, message: str) -> int:
-    print(f"mergepipe: error: {message}", file=sys.stderr)
-    return code
+class _Exit(Exception):
+    """Ends a command; its args are the exit code and the message main prints."""
+
+
+@contextlib.contextmanager
+def _phase(label: str, decoding: bool = False):
+    """Map an error raised in the body onto its exit code: an OSError exits 1,
+    BadConfig and EmptySpace exit 2, any other library error exits 2 while
+    inputs are decoded and 3 while a stage runs.  KeyError, ValueError
+    (json.JSONDecodeError among them) and TypeError exit 2 while decoding and
+    propagate elsewhere, as faults of the program."""
+    try:
+        yield
+    except OSError as exc:
+        raise _Exit(1, f"{label}: {exc}") from exc
+    except (MergepipeError, KeyError, ValueError, TypeError) as exc:
+        if decoding or isinstance(exc, (BadConfig, EmptySpace)):
+            raise _Exit(2, f"{label}: {exc}") from exc
+        if isinstance(exc, MergepipeError):
+            raise _Exit(3, f"pipeline failure [{type(exc).__name__}]: {exc}") from exc
+        raise
 
 
 def _read_json(path: Path) -> dict:
@@ -86,36 +102,28 @@ def _write_manifest(out_dir: Path, command: str, config_doc, seed, artifacts, st
         "command": command,
         "config_digest": _digest(config_doc),
         "seed": seed,
-        "artifacts": [str(p.name) for p in artifacts],
+        "artifacts": list(artifacts),
         "wall_time_sec": time.perf_counter() - started,
         "version": __version__,
     }
     _write_json(out_dir / "manifest.json", manifest)
 
 
-def cmd_generate(args) -> int:
+def cmd_generate(args) -> None:
     started = time.perf_counter()
-    try:
+    with _phase("bad generator config", decoding=True):
         doc = _read_json(Path(args.config))
         config = GeneratorConfig.from_json(doc)
-    except OSError as exc:
-        return _die(1, str(exc))
-    except json.JSONDecodeError as exc:
-        return _die(2, f"config is not valid JSON: {exc}")
-    except MergepipeError as exc:
-        return _die(2, f"bad generator config: {exc}")
     frame = generate_frame(config, seed=args.seed)
     out = Path(args.out)
     schema_path = out.with_suffix(".schema.json")
-    try:
+    with _phase("cannot write output"):
         out.parent.mkdir(parents=True, exist_ok=True)
         write_deals_csv(out, frame, config.schema())
         write_schema_json(schema_path, config.schema())
-    except OSError as exc:
-        return _die(1, f"cannot write output: {exc}")
-    _write_manifest(out.parent, "generate", doc, args.seed, [out, schema_path], started)
+        _write_manifest(out.parent, "generate", doc, args.seed, [out.name, schema_path.name],
+                        started)
     print(f"wrote {len(frame)} deals to {out}")
-    return 0
 
 
 def _load_dataset(args):
@@ -130,12 +138,43 @@ def _load_dataset(args):
     return deals, schema
 
 
+@dataclasses.dataclass(frozen=True)
+class _Split(Json):
+    """A ``split`` entry: a cutoff date, else a training fraction."""
+
+    cutoff_date: dt.date | None = None
+    train_fraction: float = 0.8
+
+
 def _split_from_doc(doc: dict) -> SplitSpec:
-    split = doc.pop("split", None) or {"train_fraction": 0.8}
+    split = doc.pop("split", None) or {}
     _require_object(split, "split")
-    if "cutoff_date" in split:
-        return SplitSpec(cutoff_date=dt.date.fromisoformat(split["cutoff_date"]))
-    return SplitSpec(train_fraction_override=float(split["train_fraction"]))
+    split = _Split.from_json(split)
+    return SplitSpec(split.cutoff_date, None if split.cutoff_date else split.train_fraction)
+
+
+def _run_setup(args) -> tuple:
+    """The split and config that the run flags and --config select; the
+    doc is decoded once, with the flags' framework and network already set."""
+    if args.baseline and (args.framework or args.preset):
+        raise BadConfig("--baseline cannot be combined with --framework/--preset")
+    if not (args.baseline or args.framework or args.preset):
+        raise BadConfig("choose one of --framework / --baseline / --preset")
+    config_doc = _read_json(Path(args.config)) if args.config else {}
+    split_spec = _split_from_doc(config_doc)
+    if args.preset:
+        config = preset(args.preset)
+        if args.framework and config.framework != args.framework:
+            raise BadConfig(f"preset {args.preset!r} is a {config.framework} setup, "
+                            f"not {args.framework}")
+    else:
+        # a baseline fixes framework and network; the doc gives the rest
+        fields = (logit_fields(args.baseline == "weighted-logit") if args.baseline
+                  else {"framework": args.framework})
+        config = FrameworkConfig.from_json(config_doc, **fields)
+    if args.seed is not None:
+        config = dataclasses.replace(config, seed=args.seed)
+    return split_spec, config
 
 
 def _report_doc(in_sample, out_of_sample, valid_report) -> dict:
@@ -146,73 +185,27 @@ def _report_doc(in_sample, out_of_sample, valid_report) -> dict:
     return doc
 
 
-def cmd_run(args) -> int:
+def cmd_run(args) -> None:
     started = time.perf_counter()
-    if args.baseline and (args.framework or args.preset):
-        return _die(2, "--baseline cannot be combined with --framework/--preset")
-    if not (args.baseline or args.framework or args.preset):
-        return _die(2, "choose one of --framework / --baseline / --preset")
-    try:
+    with _phase("invalid run config", decoding=True):
+        split_spec, config = _run_setup(args)
+    with _phase("cannot load data", decoding=True):
         deals, schema = _load_dataset(args)
-    except OSError as exc:
-        return _die(1, str(exc))
-    except MergepipeError as exc:
-        return _die(2, f"cannot load data: {exc}")
-
-    try:
-        config_doc = _read_json(Path(args.config)) if args.config else {}
-        split_spec = _split_from_doc(config_doc)
-        if args.preset:
-            config = preset(args.preset, seed=args.seed if args.seed is not None else 0)
-            if args.framework and config.framework != args.framework:
-                return _die(2, f"preset {args.preset!r} is a {config.framework} setup, "
-                               f"not {args.framework}")
-        elif args.baseline:
-            # the baseline fixes framework and network; the doc gives the rest
-            weighted = args.baseline == "weighted-logit"
-            config = FrameworkConfig.from_json(config_doc, **logit_fields(weighted))
-        else:
-            config = FrameworkConfig.from_json(config_doc)
-            if config.framework != args.framework:
-                config_doc["framework"] = args.framework
-                config = FrameworkConfig.from_json(config_doc)
-        if args.seed is not None:
-            config = dataclasses.replace(config, seed=args.seed)
-    except OSError as exc:
-        return _die(1, str(exc))
-    except json.JSONDecodeError as exc:
-        return _die(2, f"config is not valid JSON: {exc}")
-    except (MergepipeError, KeyError, ValueError) as exc:
-        return _die(2, f"invalid run config: {exc}")
-
-    try:
+    with _phase("invalid run config"):
         train, test = temporal_split(deals, split_spec)
         fitted, in_rep, out_rep = run_config(train, test, schema, config)
-    except MergepipeError as exc:
-        return _die(3, f"pipeline failure [{type(exc).__name__}]: {exc}")
 
     out_dir = Path(args.out_dir)
-    artifacts = []
-    try:
+    with _phase("cannot write artifacts"):
         out_dir.mkdir(parents=True, exist_ok=True)
-        report_path = out_dir / "report.json"
-        _write_json(report_path, _report_doc(in_rep, out_rep, fitted.valid_report))
-        artifacts.append(report_path)
-        roc_path = out_dir / "roc.csv"
-        curve_to_csv(out_rep.roc_points, roc_path, header=("fpr", "tpr"))
-        artifacts.append(roc_path)
-        pr_path = out_dir / "pr.csv"
-        curve_to_csv(out_rep.pr_points, pr_path, header=("recall", "precision"))
-        artifacts.append(pr_path)
-        model_path = out_dir / "model.json"
-        _write_json(model_path, fitted.to_json())
-        artifacts.append(model_path)
-    except OSError as exc:
-        return _die(1, f"cannot write artifacts: {exc}")
-    _write_manifest(out_dir, "run", config.to_json(), config.seed, artifacts, started)
+        _write_json(out_dir / "report.json", _report_doc(in_rep, out_rep, fitted.valid_report))
+        curve_to_csv(out_rep.roc_points, out_dir / "roc.csv", header=("fpr", "tpr"))
+        curve_to_csv(out_rep.pr_points, out_dir / "pr.csv", header=("recall", "precision"))
+        _write_json(out_dir / "model.json", fitted.to_json())
+        _write_manifest(out_dir, "run", config.to_json(), config.seed,
+                        ["report.json", "roc.csv", "pr.csv", "model.json"], started)
     auroc = "None" if out_rep.auroc is None else f"{out_rep.auroc:.3f}"
     print(f"out-of-sample: accuracy={out_rep.accuracy:.3f} recall={out_rep.recall} auroc={auroc}")
-    return 0
 
 
 def _trial_rows(results, objective):
@@ -227,22 +220,18 @@ def _trial_rows(results, objective):
         }
 
 
-def cmd_search(args) -> int:
+def cmd_search(args) -> None:
     started = time.perf_counter()
-    try:
+    with _phase("cannot load inputs", decoding=True):
         deals, schema = _load_dataset(args)
         space_doc = _read_json(Path(args.space))
-    except OSError as exc:
-        return _die(1, str(exc))
-    except (MergepipeError, json.JSONDecodeError) as exc:
-        return _die(2, f"cannot load inputs: {exc}")
-    try:
+    with _phase("invalid search setup", decoding=True):
         base_doc = space_doc.get("base") or {}
         _require_object(base_doc, "search base")
         split_spec = _split_from_doc(base_doc)
         base = FrameworkConfig.from_json(base_doc)
         space = space_doc.get("space") or {}
-        strategy = space_doc.get("strategy", "random")
+    with _phase("invalid search setup"):
         train, test = temporal_split(deals, split_spec)
         results = hyper_search(
             train,
@@ -253,44 +242,31 @@ def cmd_search(args) -> int:
             seed=args.seed,
             base_config=base,
             test_deals=test,
-            strategy=strategy,
+            strategy=space_doc.get("strategy", "random"),
         )
-    except (EmptySpace, BadConfig, KeyError, ValueError) as exc:
-        return _die(2, f"invalid search setup: {exc}")
-    except MergepipeError as exc:
-        return _die(3, f"pipeline failure [{type(exc).__name__}]: {exc}")
 
+    winner = results[0]
+    best = winner.objective_value
+    report = {
+        "objective": args.objective,
+        "objective_value": best if np.isfinite(best) else None,
+        "config": winner.config.to_json(),
+        "validation": winner.valid_report.to_json(),
+    }
+    if winner.test_report is not None:
+        report["out_of_sample"] = winner.test_report.to_json()
+    rows = list(_trial_rows(results, args.objective))
     out_dir = Path(args.out_dir)
-    artifacts = []
-    try:
+    with _phase("cannot write artifacts"):
         out_dir.mkdir(parents=True, exist_ok=True)
-        trials_path = out_dir / "trials.csv"
-        rows = list(_trial_rows(results, args.objective))
-        with open(trials_path, "w", newline="") as fh:
+        with open(out_dir / "trials.csv", "w", newline="") as fh:
             writer = csv.DictWriter(fh, fieldnames=list(rows[0]), lineterminator="\n")
             writer.writeheader()
             writer.writerows(rows)
-        artifacts.append(trials_path)
-        winner = results[0]
-        report_path = out_dir / "report.json"
-        best = winner.objective_value
-        doc = {
-            "objective": args.objective,
-            "objective_value": best if np.isfinite(best) else None,
-            "config": winner.config.to_json(),
-            "validation": winner.valid_report.to_json(),
-        }
-        if winner.test_report is not None:
-            doc["out_of_sample"] = winner.test_report.to_json()
-        _write_json(report_path, doc)
-        artifacts.append(report_path)
-    except OSError as exc:
-        return _die(1, f"cannot write artifacts: {exc}")
-    _write_manifest(
-        out_dir, "search", {"base": base.to_json(), "space": space}, args.seed, artifacts, started
-    )
-    print(f"best {args.objective}: {results[0].objective_value:.4f} over {len(results)} trials")
-    return 0
+        _write_json(out_dir / "report.json", report)
+        _write_manifest(out_dir, "search", {"base": base.to_json(), "space": space}, args.seed,
+                        ["trials.csv", "report.json"], started)
+    print(f"best {args.objective}: {best:.4f} over {len(results)} trials")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -334,7 +310,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        args.func(args)
+    except _Exit as exc:
+        code, message = exc.args
+        print(f"mergepipe: error: {message}", file=sys.stderr)
+        return code
+    return 0
 
 
 if __name__ == "__main__":

@@ -569,6 +569,9 @@ class GeneratorConfig(Json):
             raise BadConfig("n_before_cutoff must lie strictly inside (0, n_deals)")
         if self.date_end <= self.date_start:
             raise BadConfig("date_end must be after date_start")
+        if self.cutoff_date is not None and not self.date_start < self.cutoff_date <= self.date_end:
+            raise BadConfig("cutoff_date must lie inside the date range")
+        self.levels()  # raises for a level count list that does not fit n_categorical
 
     def levels(self) -> tuple:
         if isinstance(self.levels_per_categorical, int):
@@ -667,8 +670,6 @@ def generate_frame(config: GeneratorConfig, seed: int) -> DealFrame:
         ordinals = rng.integers(start, end + 1, size=n)
     else:
         cut = config.cutoff_date.toordinal()
-        if not (start < cut <= end):
-            raise BadConfig("cutoff_date must lie inside the date range")
         k = config.n_before_cutoff
         ordinals = np.empty(n, dtype=np.int64)
         ordinals[:k] = rng.integers(start, cut, size=k)

@@ -1,8 +1,11 @@
 """Typed errors raised across the pipeline.
 
-Every error carries the stage it belongs to via its class; the CLI maps
-them onto exit codes (2 = bad configuration/input, 3 = pipeline stage
-failure).
+Every error carries the stage it belongs to via its class.  BadConfig means
+a value that no data could make valid; a limit that depends on the data
+raises the type of the stage that meets it.  The CLI maps both onto exit
+codes by phase, the same way in every command: BadConfig and EmptySpace
+exit 2, any other error exits 2 while inputs are read and 3 while a stage
+runs.
 """
 
 
@@ -71,6 +74,10 @@ class TooFewMinority(MergepipeError):
 
 
 class SingleClass(MergepipeError):
+    pass
+
+
+class MultiClass(MergepipeError):
     pass
 
 

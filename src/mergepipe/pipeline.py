@@ -23,7 +23,7 @@ import numpy as np
 
 from .codec import SKIP, Json
 from .dataset import DatasetSchema, DealFrame, sentiment_matrix
-from .errors import BadConfig, EmptySpace, MissingSentiment
+from .errors import BadConfig, EmptySpace, MissingSentiment, ShapeMismatch, SingleClass, TooFewRows
 from .impute import ImputerModel, fit_imputer, impute
 from .metrics import EvalReport, evaluate
 from .neural import (
@@ -206,6 +206,10 @@ class FittedPipeline(Json):
         ):
             if not agrees:
                 raise BadConfig(f"{name} (shape {array.shape}) disagrees with {other}")
+        ae, length = self.autoencoder, self.schema.sentiment_length
+        if ae is not None and ae.spec.sequence_length != length:
+            raise BadConfig(f"autoencoder.spec.sequence_length ({ae.spec.sequence_length}) "
+                            f"disagrees with schema.sentiment_length ({length})")
         if self.params.layout != self._model()._layout.entries:
             raise BadConfig("params.layout disagrees with the network that config and the "
                             "PCA, MCA and autoencoder widths build")
@@ -217,7 +221,7 @@ def _validation_split(dates: np.ndarray, fraction: float):
     n = len(dates)
     n_valid = max(1, int(round(fraction * n)))
     if n_valid >= n:
-        raise BadConfig("validation slice would consume all training rows")
+        raise TooFewRows("validation slice would consume all training rows")
     order = np.argsort(dates, kind="stable")
     return np.sort(order[: n - n_valid]), np.sort(order[n - n_valid :])
 
@@ -238,6 +242,9 @@ def _fit(train_deals, schema, config):
     if config.framework in ("f2", "f3"):
         if schema.sentiment_length == 0:
             raise MissingSentiment("schema carries no sentiment columns")
+        if config.framework == "f2" and config.embedding_dim >= schema.sentiment_length:
+            raise ShapeMismatch(f"embedding_dim={config.embedding_dim} must be smaller than the "
+                                f"{schema.sentiment_length}-day sentiment path")
         # raises if any sequence is absent; imputation keeps sentiment as is,
         # so this matrix also serves the imputed rows below
         sequences = sentiment_matrix(train_deals, schema)
@@ -377,7 +384,7 @@ def class_weights(labels) -> dict:
     n_pos = float(y.sum())
     n_neg = float(n - n_pos)
     if n_pos == 0 or n_neg == 0:
-        raise BadConfig("class weights need both classes present")
+        raise SingleClass("class weights need both classes present")
     return {"positive": n / (2.0 * n_pos), "negative": n / (2.0 * n_neg)}
 
 

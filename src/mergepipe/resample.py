@@ -14,7 +14,7 @@ import numpy as np
 
 from . import kernels
 from .codec import Json
-from .errors import BadConfig, SingleClass, TooFewMinority
+from .errors import BadConfig, MultiClass, SingleClass, TooFewMinority
 
 
 @dataclass(frozen=True)
@@ -73,7 +73,7 @@ def smote(features: np.ndarray, labels: np.ndarray, config: SmoteConfig):
     if classes.shape[0] < 2:
         raise SingleClass("both classes must be present")
     if classes.shape[0] > 2:
-        raise BadConfig("smote supports binary labels only")
+        raise MultiClass("smote supports binary labels only")
     minority_label = classes[np.argmin(counts)]
     n_min = counts.min()
     n_maj = counts.max()

@@ -157,6 +157,8 @@ class TestGenerate:
         {"date_start": "2001-13-01"},
         {"cutoff_date": "2010-02-30", "n_before_cutoff": 100},
         {"levels_per_categorical": [3, None, 3]},
+        {"levels_per_categorical": [3, 3]},
+        {"cutoff_date": "2030-01-01", "n_before_cutoff": 100},
     ])
     def test_malformed_config_exit_2(self, tmp_path, capsys, override):
         cfg = tmp_path / "gen.json"
@@ -383,6 +385,17 @@ class TestRun:
     def test_requires_framework_xor_baseline(self, deals_csv, tmp_path):
         assert main(["run", "--data", str(deals_csv), "--out-dir", str(tmp_path / "x")]) == 2
 
+    def test_framework_flag_decides_before_the_config_is_checked(self, deals_csv, tmp_path):
+        # valid for f1, not for the f3 the file names
+        network = {**RUN_CONFIG["network"], "layers": []}
+        run_cfg = tmp_path / "run.json"
+        write_json(run_cfg, {**RUN_CONFIG, "framework": "f3", "network": network})
+        out_dir = tmp_path / "out"
+        assert main(["run", "--framework", "f1", "--data", str(deals_csv),
+                     "--config", str(run_cfg), "--out-dir", str(out_dir)]) == 0
+        saved = json.loads((out_dir / "model.json").read_text())["config"]
+        assert saved["framework"] == "f1" and saved["network"]["layers"] == []
+
 
 SPACE = {
     "base": {**RUN_CONFIG},
@@ -577,6 +590,85 @@ class TestSearch:
         )
         assert code == 1
         assert "mergepipe: error: cannot write artifacts:" in capsys.readouterr().err
+
+
+class TestExitCodes:
+    """run and search report the same failure with the same exit code."""
+
+    LEARNING_RATES = {"train.learning_rate": [0.02, 0.01]}
+
+    @staticmethod
+    def main(command, data, doc, out_dir, route=("--framework", "f1"), space=LEARNING_RATES):
+        """``run`` with ``doc`` as --config, or a 2-trial grid ``search`` over
+        ``space`` with ``doc`` as its base."""
+        path = out_dir.parent / f"{out_dir.name}.json"
+        if command == "run":
+            write_json(path, doc)
+            return main(["run", *route, "--data", str(data), "--config", str(path),
+                         "--out-dir", str(out_dir)])
+        write_json(path, {"base": doc, "space": space, "strategy": "grid"})
+        return main(["search", "--data", str(data), "--space", str(path), "--budget", "2",
+                     "--out-dir", str(out_dir)])
+
+    @pytest.mark.parametrize("command", ["run", "search"])
+    @pytest.mark.parametrize("split, field", [
+        ({"cutoff_date": 5}, "cutoff_date"),
+        ({"train_fraction": None}, "train_fraction"),
+        ({"cutoff_date": "2019-02-30"}, "cutoff_date"),
+    ])
+    def test_mistyped_split_exit_2_names_the_field(
+            self, deals_csv, tmp_path, capsys, command, split, field):
+        out_dir = tmp_path / "out"
+        assert self.main(command, deals_csv, {**RUN_CONFIG, "split": split}, out_dir) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("mergepipe: error: ") and f"{field}: expected" in err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("command", ["run", "search"])
+    def test_embedding_as_long_as_the_sentiment_path_exit_3(self, tmp_path, capsys, command):
+        gen = tmp_path / "gen.json"
+        write_json(gen, {**GEN_CONFIG, "n_deals": 120, "sentiment_length": 5})
+        data = tmp_path / "deals.csv"
+        assert main(["generate", "--config", str(gen), "--seed", "4", "--out", str(data)]) == 0
+        doc = {**RUN_CONFIG, "framework": "f2", "embedding_dim": 5}
+        out_dir = tmp_path / "out"
+        assert self.main(command, data, doc, out_dir, route=("--framework", "f2")) == 3
+        assert ("pipeline failure [ShapeMismatch]: embedding_dim=5 must be smaller than "
+                "the 5-day sentiment path") in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("command", ["run", "search"])
+    def test_weighted_logit_on_one_class_exit_3(self, deals_csv, tmp_path, capsys, command):
+        lines = deals_csv.read_text().splitlines()
+        data = tmp_path / "one-class.csv"
+        data.write_text("\n".join([lines[0]] + [line[:-1] + "0" for line in lines[1:]]) + "\n")
+        data.with_suffix(".schema.json").write_text(
+            deals_csv.with_suffix(".schema.json").read_text())
+        network = {**RUN_CONFIG["network"], "layers": [],
+                   "loss": {"kind": "weighted_cross_entropy"}}
+        doc = {**RUN_CONFIG, "network": network, "use_smote": False}
+        out_dir = tmp_path / "out"
+        code = self.main(command, data, doc, out_dir, route=("--baseline", "weighted-logit"))
+        assert code == 3
+        assert ("pipeline failure [SingleClass]: class weights need both classes present"
+                in capsys.readouterr().err)
+        assert not out_dir.exists()
+
+    def test_every_trial_failing_at_a_stage_exit_3(self, deals_csv, tmp_path, capsys):
+        out_dir = tmp_path / "out"
+        space = {"impute_k": [100000, 200000]}
+        assert self.main("search", deals_csv, RUN_CONFIG, out_dir, space=space) == 3
+        assert "pipeline failure [TooFewRows]: k=100000 exceeds" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    def test_value_error_inside_a_trial_is_not_exit_2(self, deals_csv, tmp_path, monkeypatch):
+        def fails(*args, **kwargs):
+            raise ValueError("a fault of the program")
+
+        monkeypatch.setattr(pipeline, "fit_pipeline", fails)
+        with pytest.raises(ValueError, match="a fault of the program"):
+            self.main("search", deals_csv, RUN_CONFIG, tmp_path / "out")
+        assert not (tmp_path / "out").exists()
 
 
 class TestDataCache:

@@ -15,7 +15,7 @@ from mergepipe.dataset import (
     temporal_split,
 )
 from mergepipe import pipeline
-from mergepipe.errors import BadConfig, MissingSentiment
+from mergepipe.errors import BadConfig, MissingSentiment, SingleClass
 from mergepipe.impute import impute
 from mergepipe.neural import LayerSpec, LossKind, NetworkSpec, TrainConfig
 from mergepipe.pipeline import (
@@ -236,6 +236,10 @@ class TestLogit:
         assert cw["positive"] == pytest.approx(2.5)
         weights = np.where(y > 0, cw["positive"], cw["negative"])
         assert weights.mean() == pytest.approx(1.0)
+
+    def test_class_weights_of_one_class_raise_single_class(self):
+        with pytest.raises(SingleClass, match="both classes"):
+            class_weights(np.zeros(10))
 
     def test_separable_logit(self):
         train, test, schema = universe(seed=11, n=500, signal=5.0, missing=0.0)
@@ -517,6 +521,10 @@ PART_CUTS = {
     "config.network width": (
         lambda d, m: d["config"]["network"]["layers"][0].update(width=7),
         r"params.layout .* config"),
+    # cut in an f2 model, the only kind that carries an autoencoder
+    "autoencoder.spec.sequence_length": (
+        lambda d, m: d["autoencoder"]["spec"].update(sequence_length=11),
+        r"autoencoder.spec.sequence_length \(11\) .* schema.sentiment_length \(12\)"),
 }
 
 
@@ -526,9 +534,15 @@ def f1_fit():
     return pipeline.fit_pipeline(train, schema, TestSavedFields.config("f1")), test
 
 
+@pytest.fixture(scope="module")
+def f2_fit():
+    train, test, schema = universe(seed=19, n=240, sentiment_length=12)
+    return pipeline.fit_pipeline(train, schema, TestSavedFields.config("f2")), test
+
+
 @pytest.mark.parametrize("cut", PART_CUTS)
-def test_model_json_whose_parts_disagree_raises_bad_config(f1_fit, cut):
-    fitted, test = f1_fit
+def test_model_json_whose_parts_disagree_raises_bad_config(request, cut):
+    fitted, test = request.getfixturevalue("f2_fit" if cut.startswith("autoencoder") else "f1_fit")
     doc = json.loads(json.dumps(fitted.to_json()))
     assert FittedPipeline.from_json(doc).scores(test).tobytes() == fitted.scores(test).tobytes()
     mutate, names = PART_CUTS[cut]

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mergepipe import kernels
-from mergepipe.errors import SingleClass, TooFewMinority
+from mergepipe.errors import MultiClass, SingleClass, TooFewMinority
 from mergepipe.resample import (
     SmoteConfig,
     _interpolate,
@@ -98,6 +98,13 @@ def test_single_class():
     X = np.zeros((10, 2))
     y = np.zeros(10)
     with pytest.raises(SingleClass):
+        smote(X, y, SmoteConfig())
+
+
+def test_label_2_raises_multi_class():
+    X = np.zeros((12, 2))
+    y = np.arange(12) % 3
+    with pytest.raises(MultiClass, match="binary labels only"):
         smote(X, y, SmoteConfig())
 
 
