@@ -140,17 +140,23 @@ def _load_dataset(args):
 
 @dataclasses.dataclass(frozen=True)
 class _Split(Json):
-    """A ``split`` entry: a cutoff date, else a training fraction."""
+    """A ``split`` entry: a cutoff date or a training fraction, not both."""
 
     cutoff_date: dt.date | None = None
     train_fraction: float = 0.8
 
 
 def _split_from_doc(doc: dict) -> SplitSpec:
-    split = doc.pop("split", None) or {}
-    _require_object(split, "split")
-    split = _Split.from_json(split)
-    return SplitSpec(split.cutoff_date, None if split.cutoff_date else split.train_fraction)
+    raw = doc.pop("split", None) or {}
+    _require_object(raw, "split")
+    split = _Split.from_json(raw)
+    if split.cutoff_date is not None:
+        if "train_fraction" in raw:
+            raise BadConfig("split: give cutoff_date or train_fraction, not both")
+        return SplitSpec(split.cutoff_date)
+    if not 0.0 < split.train_fraction < 1.0:
+        raise BadConfig(f"split.train_fraction must lie in (0, 1), got {split.train_fraction}")
+    return SplitSpec(train_fraction_override=split.train_fraction)
 
 
 def _run_setup(args) -> tuple:

@@ -62,33 +62,36 @@ class SequenceAutoencoder:
             )
         return x
 
-    def _encode(self, params, x):
+    def _encode(self, params, x, work=None):
         xs = np.ascontiguousarray(x.T[:, :, None])
         h0 = np.zeros((x.shape[0], self.spec.hidden_width))
-        enc = _lstm_forward(params, "enc", xs, h0, h0.copy())
+        enc = _lstm_forward(params, "enc", xs, h0, h0.copy(), work)
         return xs, enc, enc[0][-1] @ params.view("embed.w") + params.view("embed.b")
 
     def encode(self, params, sequences) -> np.ndarray:
         return self._encode(params, self._check(sequences))[2]
 
-    def forward(self, params, sequences):
+    def forward(self, params, sequences, work=None):
+        """Reconstruction and the backward cache; ``work`` is the scratch
+        dict a training loop keeps for the LSTM kernels across its steps."""
         x = self._check(sequences)
         n, seq_len = x.shape
-        xs, enc, z_embed = self._encode(params, x)
+        xs, enc, z_embed = self._encode(params, x, work)
         dec_h0 = z_embed @ params.view("dec_h0.w") + params.view("dec_h0.b")
         dec_c0 = z_embed @ params.view("dec_c0.w") + params.view("dec_c0.b")
         no_input = np.zeros((seq_len, n, 0))
-        dec = _lstm_forward(params, "dec", no_input, dec_h0, dec_c0)
+        dec = _lstm_forward(params, "dec", no_input, dec_h0, dec_c0, work)
         # readout per step: (T, n, H) @ (H, 1) -> (n, T)
         recon = (dec[0][1:] @ params.view("out.w"))[:, :, 0].T + params.view("out.b")[0]
-        return recon, (x, xs, enc, z_embed, dec, no_input)
+        return recon, (x, xs, enc, z_embed, dec, no_input, work)
 
-    def loss_and_grad(self, params, sequences, target=None, weights=None, grads=None):
+    def loss_and_grad(self, params, sequences, target=None, weights=None, grads=None,
+                      work=None):
         """Mean Euclidean distance between the reconstruction and target
         (default: the sequences themselves) and its parameter gradient."""
         if weights is not None:
             raise BadConfig("the autoencoder takes no sample weights")
-        recon, cache = self.forward(params, sequences)
+        recon, cache = self.forward(params, sequences, work)
         x = cache[0]
         n = x.shape[0]
         resid = recon - (x if target is None else target)
@@ -100,8 +103,7 @@ class SequenceAutoencoder:
 
     def backward(self, params, cache, drecon, grads=None) -> NetworkParams:
         """Parameter gradient; written into ``grads`` when given."""
-        x, xs, enc, z_embed, dec, no_input = cache
-        n, seq_len = x.shape
+        _, xs, enc, z_embed, dec, no_input, work = cache
         grads = self._layout.zeros(grads)
 
         # per-step readout, vectorized over t
@@ -109,8 +111,10 @@ class SequenceAutoencoder:
         dy = drecon.T[:, :, None]  # (T, n, 1)
         grads.view("out.w")[:] += (dec[0][1:] * dy).sum(axis=(0, 1))[:, None]
         grads.view("out.b")[:] += drecon.sum()
-        dh_all = dy * out_w[None, None, :, 0]
-        dh0, dc0 = _lstm_backward(params, grads, "dec", no_input, dec, dh_all)
+        # dh_t = dy_t w', built (T, H, n), the layout the kernel's loop reads
+        dh_all = out_w[None, :, :] * drecon.T[:, None, :]
+        dh0, dc0 = _lstm_backward(params, grads, "dec", no_input, dec, dh_all.transpose(0, 2, 1),
+                                  work)
 
         dz_embed = dh0 @ params.view("dec_h0.w").T + dc0 @ params.view("dec_c0.w").T
         grads.view("dec_h0.w")[:] += z_embed.T @ dh0
@@ -120,9 +124,8 @@ class SequenceAutoencoder:
 
         grads.view("embed.w")[:] += enc[0][-1].T @ dz_embed
         grads.view("embed.b")[:] += dz_embed.sum(axis=0)
-        dh_enc = np.zeros((seq_len, n, self.spec.hidden_width))
-        dh_enc[-1] = dz_embed @ params.view("embed.w").T
-        _lstm_backward(params, grads, "enc", xs, enc, dh_enc)
+        # the embedding reads only the encoder's last hidden state
+        _lstm_backward(params, grads, "enc", xs, enc, dz_embed @ params.view("embed.w").T, work)
         return grads
 
 

@@ -228,19 +228,28 @@ def _dense_stack_backward(params, grads, stack, cache, da, input_grad):
     return da
 
 
-def _lstm_forward(params, name, xs, h0, c0):
-    """Sweep lstm unit ``name`` over time-major xs; returns (hs, cs, gates)."""
+def _unit_work(work, name):
+    """The kernels' scratch dict of lstm unit ``name`` within a model's
+    ``work``, or None without one."""
+    return None if work is None else work.setdefault(name, {})
+
+
+def _lstm_forward(params, name, xs, h0, c0, work):
+    """Sweep lstm unit ``name`` over time-major xs; returns (hs, cs, cache)."""
     return kernels.lstm_forward(
         xs, params.view(f"{name}.wx"), params.view(f"{name}.wh"), params.view(f"{name}.b"),
-        h0, c0,
+        h0, c0, work=_unit_work(work, name),
     )
 
 
-def _lstm_backward(params, grads, name, xs, states, dh_all):
-    """Accumulate the weight gradients of lstm unit ``name``; returns (dh0, dc0)."""
-    hs, cs, gates = states
+def _lstm_backward(params, grads, name, xs, states, dh, work):
+    """Accumulate the weight gradients of lstm unit ``name`` for ``dh``, the
+    gradient of every h_t (T, B, H) or of the last alone (B, H); returns
+    (dh0, dc0)."""
+    hs, cs, cache = states
     dwx, dwh, db, dh0, dc0 = kernels.lstm_backward(
-        xs, params.view(f"{name}.wx"), params.view(f"{name}.wh"), hs, cs, gates, dh_all
+        xs, params.view(f"{name}.wx"), params.view(f"{name}.wh"), hs, cs, cache, dh,
+        work=_unit_work(work, name),
     )
     grads.view(f"{name}.wx")[:] += dwx
     grads.view(f"{name}.wh")[:] += dwh
@@ -324,9 +333,10 @@ class DenseNet:
     def zero_grads(self) -> NetworkParams:
         return self._layout.zeros()
 
-    def forward(self, params, *inputs):
+    def forward(self, params, *inputs, work=None):
         """Probabilities and the backward cache; inputs are the tabular rows
-        and/or the sequences, in that order."""
+        and/or the sequences, in that order.  ``work`` is the scratch dict a
+        training loop keeps for the LSTM kernels across its steps."""
         expected = (self.input_dim is not None) + (self.lstm is not None)
         if len(inputs) != expected:
             raise ShapeMismatch(f"expected {expected} input arrays, got {len(inputs)}")
@@ -349,7 +359,7 @@ class DenseNet:
                 raise ShapeMismatch(f"expected (n, {seq_len}) sequences, got {x.shape}")
             xs = np.ascontiguousarray(np.transpose(x, (1, 0, 2)))
             h0 = np.zeros((xs.shape[1], hidden))
-            lstm_cache = (xs, _lstm_forward(params, "lstm", xs, h0, h0.copy()))
+            lstm_cache = (xs, _lstm_forward(params, "lstm", xs, h0, h0.copy(), work), work)
             parts.append(lstm_cache[1][0][-1])
         merged = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
         a, head_stack_cache = _dense_stack_forward(params, self._head_stack, merged)
@@ -374,19 +384,17 @@ class DenseNet:
                 dmerged[:, : self._tab_width], input_grad=False,
             )
         if self.lstm is not None:
-            xs, states = lstm_cache
-            hidden, seq_len, _ = self.lstm
-            dh_all = np.zeros((seq_len, xs.shape[1], hidden))
-            dh_all[-1] = dmerged[:, self._tab_width :]
-            _lstm_backward(params, grads, "lstm", xs, states, dh_all)
+            xs, states, work = lstm_cache
+            # the head reads only the last hidden state
+            _lstm_backward(params, grads, "lstm", xs, states, dmerged[:, self._tab_width :], work)
         return grads
 
-    def forward_batch(self, params, inputs):
-        return self.forward(params, *inputs)
+    def forward_batch(self, params, inputs, work=None):
+        return self.forward(params, *inputs, work=work)
 
-    def loss_and_grad(self, params, *inputs, target, weights=None, grads=None):
+    def loss_and_grad(self, params, *inputs, target, weights=None, grads=None, work=None):
         """Batch loss and its parameter gradient, the step ``train`` drives."""
-        q, cache = self.forward_batch(params, inputs)
+        q, cache = self.forward_batch(params, inputs, work)
         value, dq = loss_value_and_grad(self.spec.loss, target, q, weights)
         return value, self.backward(params, cache, dq, q, grads)
 
@@ -477,8 +485,10 @@ def train(
     row-aligned arrays, and target has one entry per row (class labels for
     a classifier, the sequences themselves for the autoencoder).  The model
     provides ``spec.seed``, ``init_params(rng)``, ``zero_grads()`` and
-    ``loss_and_grad(params, *batch_inputs, target=..., weights=..., grads=...)``,
-    which writes each batch's gradient into the one store ``train`` owns.
+    ``loss_and_grad(params, *batch_inputs, target=..., weights=..., grads=...,
+    work=...)``, which writes each batch's gradient into the one store
+    ``train`` owns and takes the LSTM kernels' arrays from the one scratch
+    dict it keeps (see ``kernels``).
 
     Deterministic given the spec seed: one rng draws the initialization,
     then one row permutation per epoch.  Each batch step takes the loss and
@@ -503,6 +513,7 @@ def train(
     params = model.init_params(rng)
     adam = AdamState.like(params.values)
     grads = model.zero_grads()
+    work = {}
     trace = []
     best_loss = np.inf
     best_params = params.copy()
@@ -515,6 +526,7 @@ def train(
             value, grads = model.loss_and_grad(
                 params, *(a[idx] for a in inputs), target=target[idx],
                 weights=None if sample_weight is None else sample_weight[idx], grads=grads,
+                work=work,
             )
             if not math.isfinite(value):
                 raise NonFiniteLoss(f"loss diverged at epoch {epoch}")

@@ -625,6 +625,29 @@ class TestExitCodes:
         assert not out_dir.exists()
 
     @pytest.mark.parametrize("command", ["run", "search"])
+    def test_split_with_cutoff_and_fraction_exit_2(self, deals_csv, tmp_path, capsys, command):
+        out_dir = tmp_path / "out"
+        split = {"cutoff_date": "2019-01-01", "train_fraction": 0.7}
+        assert self.main(command, deals_csv, {**RUN_CONFIG, "split": split}, out_dir) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("mergepipe: error: ")
+        assert "give cutoff_date or train_fraction, not both" in err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("command", ["run", "search"])
+    @pytest.mark.parametrize("fraction", [0.0, 1.0, 1.5, -0.2])
+    def test_train_fraction_outside_unit_interval_exit_2(
+            self, deals_csv, tmp_path, capsys, command, fraction):
+        out_dir = tmp_path / "out"
+        split = {"train_fraction": fraction}
+        assert self.main(command, deals_csv, {**RUN_CONFIG, "split": split}, out_dir) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("mergepipe: error: ")
+        assert "split.train_fraction must lie in (0, 1)" in err
+        assert "train_fraction_override" not in err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("command", ["run", "search"])
     def test_embedding_as_long_as_the_sentiment_path_exit_3(self, tmp_path, capsys, command):
         gen = tmp_path / "gen.json"
         write_json(gen, {**GEN_CONFIG, "n_deals": 120, "sentiment_length": 5})

@@ -217,3 +217,91 @@ class TestLstmNumpy:
                 array[idx] = keep
                 numeric[idx] = (up - down) / (2 * eps)
             assert np.allclose(grad, numeric, rtol=1e-6, atol=1e-8)
+
+
+class TestLstmCallerPaths:
+    """Bits pinned at the input widths the program runs: 1 (the f3
+    classifier, the f2 encoder) and 0 (the f2 decoder)."""
+
+    @pytest.mark.parametrize("zero_start", [False, True])
+    @pytest.mark.parametrize("in_dim", [0, 1])
+    @pytest.mark.parametrize("seq", [1, 9, 121])
+    def test_last_step_row_equals_full_gradient_zero_before_t(self, seq, in_dim, zero_start):
+        x, wx, wh, b, h0, c0, dh_all = random_lstm_problem(
+            40 + seq + in_dim, seq=seq, in_dim=in_dim, zero_start=zero_start
+        )
+        dh_all[:-1] = 0.0
+        hs, cs, cache = kernels.lstm_forward(x, wx, wh, b, h0, c0)
+        full = kernels.lstm_backward(x, wx, wh, hs, cs, cache, dh_all)
+        hs_last, cs_last, cache = kernels.lstm_forward(x, wx, wh, b, h0, c0)
+        last = kernels.lstm_backward(x, wx, wh, hs_last, cs_last, cache, dh_all[-1].copy())
+        assert np.array_equal(hs_last, hs) and np.array_equal(cs_last, cs)
+        for got, want in zip(last, full):
+            assert got.shape == want.shape
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("zero_start", [False, True])
+    def test_zero_width_input_equals_zero_input_with_zero_weights(self, zero_start):
+        x, wx, wh, b, h0, c0, dh_all = random_lstm_problem(
+            50, seq=30, in_dim=0, zero_start=zero_start
+        )
+        zeros = np.zeros(x.shape[:2] + (1,))
+        zero_row = np.zeros((1, wx.shape[1]))
+        hs, cs, cache = kernels.lstm_forward(x, wx, wh, b, h0, c0)
+        hs1, cs1, cache1 = kernels.lstm_forward(zeros, zero_row, wh, b, h0, c0)
+        assert np.array_equal(hs, hs1) and np.array_equal(cs, cs1)
+        grads = kernels.lstm_backward(x, wx, wh, hs, cs, cache, dh_all)
+        grads1 = kernels.lstm_backward(zeros, zero_row, wh, hs1, cs1, cache1, dh_all)
+        assert grads[0].shape == (0, wx.shape[1])
+        assert np.array_equal(grads1[0], zero_row)
+        for got, want in zip(grads[1:], grads1[1:]):
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("last_step", [False, True])
+    @pytest.mark.parametrize("in_dim", [0, 1])
+    def test_backward_only_reads_the_states(self, in_dim, last_step):
+        x, wx, wh, b, h0, c0, dh_all = random_lstm_problem(60 + in_dim, seq=12, in_dim=in_dim)
+        dh = dh_all[-1].copy() if last_step else dh_all
+        hs, cs, cache = kernels.lstm_forward(x, wx, wh, b, h0, c0)
+        kept = hs.copy(), cs.copy(), x.copy(), dh.copy()
+        kernels.lstm_backward(x, wx, wh, hs, cs, cache, dh)
+        for got, want in zip((hs, cs, x, dh), kept):
+            assert np.array_equal(got, want)
+
+    def test_decoder_gradient_in_loop_layout_is_read_in_place(self):
+        # the autoencoder builds the decoder's dh (T, H, B) and passes its
+        # (T, B, H) view; the bits match a C-ordered (T, B, H) copy
+        x, wx, wh, b, h0, c0, dh_all = random_lstm_problem(70, seq=15, in_dim=0)
+        view = np.ascontiguousarray(dh_all.transpose(0, 2, 1)).transpose(0, 2, 1)
+        hs, cs, cache = kernels.lstm_forward(x, wx, wh, b, h0, c0)
+        want = kernels.lstm_backward(x, wx, wh, hs, cs, cache, dh_all)
+        hs, cs, cache = kernels.lstm_forward(x, wx, wh, b, h0, c0)
+        got = kernels.lstm_backward(x, wx, wh, hs, cs, cache, view)
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
+
+    @pytest.mark.parametrize("in_dim", [0, 1])
+    def test_work_dict_reuses_arrays_bit_for_bit(self, in_dim):
+        # a training loop passes one dict across its steps, whose last batch
+        # may be shorter: the arrays are reused per shape, the bits unchanged
+        work = {}
+        first_hs = None
+        for step, batch in enumerate((4, 3, 4)):
+            x, wx, wh, b, h0, c0, dh_all = random_lstm_problem(
+                80 + step, batch=batch, in_dim=in_dim
+            )
+            want_hs, want_cs, cache = kernels.lstm_forward(x, wx, wh, b, h0, c0)
+            want_hs, want_cs = want_hs.copy(), want_cs.copy()
+            want = kernels.lstm_backward(x, wx, wh, want_hs, want_cs, cache, dh_all)
+            hs, cs, cache = kernels.lstm_forward(x, wx, wh, b, h0, c0, work=work)
+            assert np.array_equal(hs, want_hs) and np.array_equal(cs, want_cs)
+            got = kernels.lstm_backward(x, wx, wh, hs, cs, cache, dh_all, work=work)
+            for g, w in zip(got, want):
+                assert np.array_equal(g, w)
+            if step == 0:
+                first_hs = hs
+        assert np.shares_memory(hs, first_hs)
+        assert {shape for _, shape in work} == {
+            shape for batch in (4, 3)
+            for shape in ((9, 20, batch), (10, 5, batch), (9, 5, batch))
+        }
